@@ -1,4 +1,8 @@
-from sylow2 import verify
+from pathlib import Path
+
+import pytest
+
+from sylow2 import composite, verify
 
 
 def test_every_planned_claim_is_registered():
@@ -52,3 +56,33 @@ def test_sign_law_claim_is_seed_stable():
     first = verify.run_claim("tree/sign-law-violations", params)
     second = verify.run_claim("tree/sign-law-violations", params)
     assert first.computed == second.computed == 0
+
+
+FIXTURES = sorted((Path(__file__).parent / "data").glob("verify_*.json"))
+
+
+@pytest.mark.parametrize("path", FIXTURES, ids=lambda p: p.stem)
+def test_fixture_report_reproduces(path):
+    # reports written by an earlier version of the claim code; every claim
+    # must still recompute, and re-run, to the recorded values
+    doc = verify.read_report(path)
+    for record in doc["claims"]:
+        assert verify.recompute(record) == record["computed"]
+        fresh = verify.run_claim(record["claim"], record["params"])
+        assert (fresh.expected, fresh.provenance, fresh.computed, fresh.passed) == (
+            record["expected"], record["provenance"], record["computed"],
+            record["passed"],
+        )
+    if "summary" in doc:
+        assert doc["summary"] == composite.verification_record(
+            doc["target"], doc["kind"]
+        )
+
+
+def test_fixtures_cover_every_claim():
+    covered = {
+        record["claim"]
+        for path in FIXTURES
+        for record in verify.read_report(path)["claims"]
+    }
+    assert len(covered) == 14
