@@ -174,9 +174,10 @@ def _odd_structure(k: int, j: int) -> Portrait:
 
 
 def build_tuples_S(n: int) -> list[SubdirectElement]:
-    """Per-block single-label generators of the full (symmetric) product."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
+    """Per-block single-label generators of the full (symmetric) product;
+    empty for n = 1."""
+    if n < 1:
+        raise ValueError("n must be positive")
     layout = block_layout(n)
     out = []
     for bi, block in enumerate(layout.blocks):
@@ -193,6 +194,8 @@ def build_gens_S(n: int) -> list[Permutation]:
 
 def build_tuples_A(n: int) -> list[SubdirectElement]:
     """Minimal generating tuples for the even part; empty below n = 4."""
+    if n < 1:
+        raise ValueError("n must be positive")
     if n < 4:
         return []
     if n % 2 == 1:
@@ -291,16 +294,6 @@ def boxtimes_order(orders, grouping=None) -> int:
     return result
 
 
-def oracle_group_A(n: int) -> permgroup.PermGroup:
-    gens = build_gens_A(n)
-    return permgroup.PermGroup(n, gens)
-
-
-def oracle_group_S(n: int) -> permgroup.PermGroup:
-    gens = build_gens_S(n)
-    return permgroup.PermGroup(n, gens)
-
-
 def verification_record(n: int, kind: str = "A") -> dict:
     """Oracle-vs-formula record for one n, in the stable report schema."""
     if kind not in ("A", "S"):
@@ -312,7 +305,7 @@ def verification_record(n: int, kind: str = "A") -> dict:
     else:
         expected_order = order_syl2_S(n)
         expected_rank = rank_syl2_S(n)
-        gens = build_gens_S(n) if n >= 2 else []
+        gens = build_gens_S(n)
     group = permgroup.PermGroup(n, gens)
     oracle_order = group.order
     oracle_rank = permgroup.rank_of_2group(group) if group.is_2group() else -1

@@ -13,10 +13,10 @@ and compare elementwise.
 
 from __future__ import annotations
 
-from sylow2.portrait import Portrait, compose, level_index
-from sylow2.wreath import all_portraits, in_G
+import random
 
-DEFAULT_SEED = 1729
+from sylow2.portrait import DEFAULT_SEED, Portrait, compose, level_index, random_portrait
+from sylow2.wreath import all_portraits, in_G
 
 
 def in_derived_B(g: Portrait) -> bool:
@@ -82,7 +82,8 @@ def squares_in_derived_check(k: int, samples: int = 10_000,
     if k <= 3:
         population = all_portraits(k)
     else:
-        population = _random_portraits(k, samples, seed)
+        rng = random.Random(seed)
+        population = (random_portrait(rng, k) for _ in range(samples))
     for g in population:
         sq = compose(g, g)
         if not in_derived_B(sq):
@@ -90,12 +91,3 @@ def squares_in_derived_check(k: int, samples: int = 10_000,
         if in_G(g) and not in_derived_G(sq):
             return False
     return True
-
-
-def _random_portraits(k, count, seed):
-    import random
-
-    rng = random.Random(seed)
-    size = (1 << k) - 1
-    for _ in range(count):
-        yield Portrait(k, bytes(rng.getrandbits(1) for _ in range(size)))

@@ -1,8 +1,8 @@
 """Kernel backend selection.
 
 Imports the compiled kernels when the extension is available, otherwise the
-pure-Python fallback.  Set SYLOW2_PURE=1 to force the fallback (used by the
-benchmark and the backend-equivalence tests).
+pure-Python fallback.  Set SYLOW2_PURE=1 to force the fallback, for example
+to run the test suite on it.
 
 Exports: ``compose_labels``, ``invert_labels``, ``leaf_images``,
 ``mult_perm``, ``inv_perm`` and the string ``BACKEND`` ("c" or "python").

@@ -138,19 +138,6 @@ def format_cycles(p: Permutation) -> str:
     return "".join("(" + ",".join(str(x + 1) for x in cyc) + ")" for cyc in cycles)
 
 
-def multiply(p: Permutation, q: Permutation) -> Permutation:
-    """Left-action product, q applied first."""
-    return p * q
-
-
-def invert(p: Permutation) -> Permutation:
-    return p.inverse()
-
-
-def sign(p: Permutation) -> int:
-    return p.sign()
-
-
 _ID_CACHE: dict[int, tuple[int, ...]] = {}
 
 
@@ -400,7 +387,3 @@ def rank_of_2group(G: PermGroup) -> int:
     phi = frattini_of_2group(G)
     quotient = G.order // phi.order
     return quotient.bit_length() - 1
-
-
-def enumerate_elements(G: PermGroup, cap: int) -> list[Permutation]:
-    return G.elements(cap)

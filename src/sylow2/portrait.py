@@ -24,6 +24,8 @@ from dataclasses import dataclass
 from sylow2.kernels import compose_labels, invert_labels, leaf_images
 from sylow2.permgroup import Permutation
 
+DEFAULT_SEED = 1729  # seed of every sampled check unless one is given
+
 
 @dataclass(frozen=True)
 class Vertex:
@@ -106,21 +108,17 @@ class Portrait:
         return f"Portrait({format_portrait(self)!r})"
 
 
-def from_levels(levels) -> Portrait:
-    """Build a portrait from per-level bit sequences (level 0 first)."""
-    levels = [tuple(level) for level in levels]
-    for l, level in enumerate(levels):
-        if len(level) != 1 << l:
-            raise ValueError(f"level {l} must have {1 << l} bits, got {len(level)}")
-    flat = bytes(b for level in levels for b in level)
-    return Portrait(len(levels), flat)
-
-
 def identity(k: int) -> Portrait:
     """The trivial automorphism of the depth-k tree."""
     if k < 1:
         raise ValueError("depth must be >= 1 (the depth-0 tree is empty)")
     return Portrait(k, bytes((1 << k) - 1))
+
+
+def random_portrait(rng, k: int) -> Portrait:
+    """Uniform depth-k portrait: one ``rng.getrandbits(1)`` per label, in
+    storage order, so a seeded ``random.Random`` gives a fixed sequence."""
+    return Portrait(k, bytes(rng.getrandbits(1) for _ in range((1 << k) - 1)))
 
 
 def compose(g: Portrait, h: Portrait) -> Portrait:

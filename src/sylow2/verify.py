@@ -1,10 +1,13 @@
-"""Claim registry, verification reports and the self-test suite.
+"""Claim table, verification reports and the self-test suite.
 
 A claim is an identifier plus a parameter dict that fully determines two
 computations: the expected value (from a closed formula or a recorded
 source) and the computed value (from the oracle or an exhaustive run).
-Reports serialize both, so re-reading a report and re-running its claims
-must reproduce the computed values bit for bit.
+``CLAIMS`` maps every claim id to both computations and the provenance tag
+of the expected side; ``verify``, ``selftest`` and the acceptance tests all
+run claims from this one table.  Reports serialize both values, so
+re-reading a report and re-running its claims must reproduce the computed
+values bit for bit.
 
 Report records carry: claim id, params, expected value, provenance tag,
 computed value, pass flag and wall time.  Record lists are always sorted by
@@ -17,9 +20,11 @@ import json
 import random
 import time
 from dataclasses import asdict, dataclass
+from typing import Callable
 
 from sylow2 import composite, derived, permgroup, wreath
 from sylow2.portrait import (
+    DEFAULT_SEED,
     Portrait,
     compose,
     distance,
@@ -30,9 +35,9 @@ from sylow2.portrait import (
     leaf_permutation,
     level_index,
     parse_portrait,
+    random_portrait,
 )
 
-DEFAULT_SEED = 1729
 ORACLE_LIMIT = 32  # no oracle work above this many points
 
 
@@ -47,13 +52,18 @@ class VerificationReport:
     wall_time_s: float
 
 
-def _random_portrait(rng, k):
-    size = (1 << k) - 1
-    return Portrait(k, bytes(rng.getrandbits(1) for _ in range(size)))
+@dataclass(frozen=True)
+class Claim:
+    """Expected value, its provenance tag, and the computation it is
+    checked against; both callables take the claim's params dict."""
+
+    expected: Callable[[dict], object]
+    provenance: str
+    compute: Callable[[dict], object]
 
 
 def _random_g_element(rng, k):
-    g = _random_portrait(rng, k)
+    g = random_portrait(rng, k)
     if level_index(g, k - 1) % 2 == 0:
         return g
     bits = bytearray(g.bits)
@@ -61,16 +71,19 @@ def _random_g_element(rng, k):
     return Portrait(k, bytes(bits))
 
 
+def _log2(order):
+    """Exponent of a power of two; None for any other order, so an order
+    claim passes only on an exact match."""
+    return order.bit_length() - 1 if order & (order - 1) == 0 else None
+
+
 # --------------------------------------------------------------------------
-# claim registry
+# claim table
 # --------------------------------------------------------------------------
 
 def _composite_group(params):
     n, kind = params["n"], params["kind"]
-    if kind == "A":
-        gens = composite.build_gens_A(n)
-    else:
-        gens = composite.build_gens_S(n) if n >= 2 else []
+    gens = composite.build_gens_A(n) if kind == "A" else composite.build_gens_S(n)
     return permgroup.PermGroup(n, gens), gens
 
 
@@ -82,7 +95,7 @@ def _expected_order_log2(params):
 
 def _claim_order_log2(params):
     group, _ = _composite_group(params)
-    return group.order.bit_length() - 1
+    return _log2(group.order)
 
 
 def _claim_legendre(params):
@@ -119,10 +132,7 @@ def _claim_neighbor_ratios(params):
         ok &= composite.order_syl2_A(n) == 2 * composite.order_syl2_A(n - 2)
     if n % 2 == 0 and n >= 4:
         v = (n & -n).bit_length() - 1
-        ok &= (
-            composite.order_syl2_A(n) // composite.order_syl2_S(n - 1)
-            == 1 << (v - 1)
-        )
+        ok &= composite.order_syl2_A(n) == composite.order_syl2_S(n - 1) << (v - 1)
     return bool(ok)
 
 
@@ -142,7 +152,7 @@ def _tree_group(params):
 
 
 def _claim_tree_order_log2(params):
-    return _tree_group(params).order.bit_length() - 1
+    return _log2(_tree_group(params).order)
 
 
 def _claim_tree_rank(params):
@@ -152,11 +162,11 @@ def _claim_tree_rank(params):
 def _claim_frattini_quotient_log2(params):
     group = _tree_group(params)
     phi = permgroup.frattini_of_2group(group)
-    return (group.order // phi.order).bit_length() - 1
+    return _log2(group.order // phi.order)
 
 
 def _claim_derived_order_log2(params):
-    return permgroup.derived_subgroup(_tree_group(params)).order.bit_length() - 1
+    return _log2(permgroup.derived_subgroup(_tree_group(params)).order)
 
 
 def _claim_w_count(params):
@@ -178,69 +188,78 @@ def _claim_derived_match(params):
     return by_predicate == by_oracle
 
 
+def _sign_mismatches(portraits):
+    """How many portraits have a leaf sign other than the parity of their
+    bottom-level label count."""
+    return sum(
+        leaf_permutation(g).sign() != (-1 if level_index(g, g.depth - 1) % 2 else 1)
+        for g in portraits
+    )
+
+
 def _claim_sign_law_sample(params):
     rng = random.Random(params["seed"])
-    violations = 0
     k = params["k"]
-    for _ in range(params["samples"]):
-        g = _random_portrait(rng, k)
-        expect = -1 if level_index(g, k - 1) % 2 else 1
-        if leaf_permutation(g).sign() != expect:
-            violations += 1
-    return violations
+    return _sign_mismatches(random_portrait(rng, k) for _ in range(params["samples"]))
 
 
-_EXPECTED = {
-    "composite/order-log2": lambda p: (_expected_order_log2(p), "formula"),
-    "composite/legendre-cross-check": lambda p: (_expected_order_log2(p), "formula"),
-    "composite/rank": lambda p: (
-        composite.rank_syl2_A(p["n"]) if p["kind"] == "A"
+CLAIMS = {
+    "composite/order-log2": Claim(_expected_order_log2, "formula", _claim_order_log2),
+    "composite/legendre-cross-check": Claim(
+        _expected_order_log2, "formula", _claim_legendre
+    ),
+    "composite/rank": Claim(
+        lambda p: composite.rank_syl2_A(p["n"]) if p["kind"] == "A"
         else composite.rank_syl2_S(p["n"]),
         "formula",
+        _claim_rank,
     ),
-    "composite/all-even": lambda p: (True, "formula"),
-    "composite/fixed-point": lambda p: (p["n"], "formula"),
-    "composite/neighbor-ratios": lambda p: (True, "formula"),
-    "composite/enumeration-even": lambda p: (True, "derived"),
-    "tree/order-log2": lambda p: (
-        (1 << p["k"]) - (1 if p["kind"] == "B" else 2),
+    "composite/all-even": Claim(lambda p: True, "formula", _claim_all_even),
+    "composite/fixed-point": Claim(lambda p: p["n"], "formula", _claim_fixed_point),
+    "composite/neighbor-ratios": Claim(
+        lambda p: True, "formula", _claim_neighbor_ratios
+    ),
+    "composite/enumeration-even": Claim(
+        lambda p: True, "derived", _claim_enumeration_even
+    ),
+    "tree/order-log2": Claim(
+        lambda p: (1 << p["k"]) - (1 if p["kind"] == "B" else 2),
         "formula",
+        _claim_tree_order_log2,
     ),
-    "tree/rank": lambda p: (p["k"], "formula"),
-    "tree/frattini-quotient-log2": lambda p: (p["k"], "formula"),
-    "tree/derived-order-log2": lambda p: (
-        (1 << p["k"]) - 1 - p["k"] if p["kind"] == "B"
+    "tree/rank": Claim(lambda p: p["k"], "formula", _claim_tree_rank),
+    "tree/frattini-quotient-log2": Claim(
+        lambda p: p["k"], "formula", _claim_frattini_quotient_log2
+    ),
+    "tree/derived-order-log2": Claim(
+        lambda p: (1 << p["k"]) - 1 - p["k"] if p["kind"] == "B"
         else (1 << p["k"]) - 2 - p["k"],
         "derived",
+        _claim_derived_order_log2,
     ),
-    "tree/w-count": lambda p: (1 << ((1 << (p["k"] - 1)) - 1), "formula"),
-    "tree/derived-matches-predicate": lambda p: (True, "derived"),
-    "tree/sign-law-violations": lambda p: (0, "formula"),
-}
-
-_COMPUTE = {
-    "composite/order-log2": _claim_order_log2,
-    "composite/legendre-cross-check": _claim_legendre,
-    "composite/rank": _claim_rank,
-    "composite/all-even": _claim_all_even,
-    "composite/fixed-point": _claim_fixed_point,
-    "composite/neighbor-ratios": _claim_neighbor_ratios,
-    "composite/enumeration-even": _claim_enumeration_even,
-    "tree/order-log2": _claim_tree_order_log2,
-    "tree/rank": _claim_tree_rank,
-    "tree/frattini-quotient-log2": _claim_frattini_quotient_log2,
-    "tree/derived-order-log2": _claim_derived_order_log2,
-    "tree/w-count": _claim_w_count,
-    "tree/derived-matches-predicate": _claim_derived_match,
-    "tree/sign-law-violations": _claim_sign_law_sample,
+    "tree/w-count": Claim(
+        lambda p: 1 << ((1 << (p["k"] - 1)) - 1), "formula", _claim_w_count
+    ),
+    "tree/derived-matches-predicate": Claim(
+        lambda p: True, "derived", _claim_derived_match
+    ),
+    "tree/sign-law-violations": Claim(
+        lambda p: 0, "formula", _claim_sign_law_sample
+    ),
 }
 
 
 def plan_claims(kind: str, target: int, level: str, seed: int) -> list[tuple[str, dict]]:
-    """Choose the claims to run for one verification target."""
+    """Choose the claims to run for one verification target.
+
+    Raises ValueError, naming the bound, for a target outside n >= 1 (kinds
+    A and S), 1 <= k <= 5 (B) or 2 <= k <= 5 (G).
+    """
     plan = []
     if kind in ("A", "S"):
         n = target
+        if n < 1:
+            raise ValueError(f"verify {kind} needs n >= 1, got {n}")
         base = {"kind": kind, "n": n}
         plan.append(("composite/legendre-cross-check", base))
         plan.append(("composite/neighbor-ratios", base))
@@ -262,8 +281,9 @@ def plan_claims(kind: str, target: int, level: str, seed: int) -> list[tuple[str
                     plan.append(("tree/derived-order-log2", tree))
     elif kind in ("B", "G"):
         k = target
-        if k > 5:
-            raise ValueError("tree verification is capped at depth 5")
+        low = 1 if kind == "B" else 2
+        if not low <= k <= 5:
+            raise ValueError(f"verify {kind} needs {low} <= k <= 5, got {k}")
         base = {"kind": kind, "k": k}
         plan.append(("tree/order-log2", base))
         plan.append(("tree/rank", base))
@@ -283,15 +303,16 @@ def plan_claims(kind: str, target: int, level: str, seed: int) -> list[tuple[str
 
 
 def run_claim(claim: str, params: dict) -> VerificationReport:
-    expected, provenance = _EXPECTED[claim](params)
+    entry = CLAIMS[claim]
+    expected = entry.expected(params)
     start = time.perf_counter()
-    computed = _COMPUTE[claim](params)
+    computed = entry.compute(params)
     elapsed = time.perf_counter() - start
     return VerificationReport(
         claim=claim,
         params=dict(params),
         expected=expected,
-        provenance=provenance,
+        provenance=entry.provenance,
         computed=computed,
         passed=computed == expected,
         wall_time_s=round(elapsed, 6),
@@ -305,7 +326,7 @@ def run_verification(kind: str, target: int, level: str = "quick",
 
 def recompute(record: dict):
     """Re-run one serialized claim record; returns the fresh computed value."""
-    return _COMPUTE[record["claim"]](record["params"])
+    return CLAIMS[record["claim"]].compute(record["params"])
 
 
 def report_to_json(kind, target, level, seed, records) -> dict:
@@ -337,44 +358,78 @@ def read_report(path) -> dict:
 # self test
 # --------------------------------------------------------------------------
 
-def _bruteforce_closure(gens, cap):
-    """Set of all products of the generators, by plain breadth search."""
-    if not gens:
-        return {()}
-    frontier = set(g.images for g in gens)
-    seen = set(frontier)
-    seen.add(tuple(range(gens[0].degree)))
+def bruteforce_closure(gens, cap=100_000):
+    """All products of the generators as a set of image tuples.
+
+    Plain breadth-first multiplication by tuple indexing, without
+    ``Permutation`` products or the kernels, so it stays an independent
+    reference for the stabilizer chain.  Raises ValueError past ``cap``.
+    """
+    degree = gens[0].degree if gens else 1
+    identity = tuple(range(degree))
+    seen = {identity}
+    frontier = [identity]
     while frontier:
-        nxt = set()
+        nxt = []
         for a in frontier:
             for g in gens:
-                c = permgroup.Permutation(a) * g
-                if c.images not in seen:
+                c = tuple(map(a.__getitem__, g.images))
+                if c not in seen:
                     if len(seen) >= cap:
                         raise ValueError("closure cap exceeded")
-                    seen.add(c.images)
-                    nxt.add(c.images)
+                    seen.add(c)
+                    nxt.append(c)
         frontier = nxt
     return seen
 
 
-def _check_parse_roundtrip(rng):
+def sign_law_violations(samples: int, seed: int) -> int:
+    """Sign-law failures over every portrait of depth 1 to 3, plus the
+    ``tree/sign-law-violations`` claim on seeded depth-8 samples."""
+    exhaustive = (g for k in (1, 2, 3) for g in wreath.all_portraits(k))
+    sampled = {"kind": "B", "k": 8, "seed": seed, "samples": samples}
+    return (
+        _sign_mismatches(exhaustive)
+        + run_claim("tree/sign-law-violations", sampled).computed
+    )
+
+
+def non_closure_violations() -> int:
+    """Depth-3 products breaking non-closure: a product of two type-T
+    elements that is type T or type C, or a type-C square that is type C."""
+    portraits = list(wreath.all_portraits(3))
+    t_elements = [g for g in portraits if wreath.is_type_T(g)]
+    c_elements = [g for g in portraits if wreath.is_type_C(g)]
+    violations = sum(
+        wreath.is_type_T(p) or wreath.is_type_C(p)
+        for p in (compose(t1, t2) for t1 in t_elements for t2 in t_elements)
+    )
+    return violations + sum(wreath.is_type_C(compose(c, c)) for c in c_elements)
+
+
+def _passes(claim, **params):
+    return run_claim(claim, params).passed
+
+
+def _check_parse_roundtrip(seed):
+    rng = random.Random(seed)
     for k in range(1, 4):
         for g in wreath.all_portraits(k):
             if parse_portrait(format_portrait(g)) != g:
                 return False
     for _ in range(50):
-        g = _random_portrait(rng, 8)
+        g = random_portrait(rng, 8)
         if parse_portrait(format_portrait(g)) != g:
             return False
     return True
 
 
-def _check_group_laws(rng):
+def _check_group_laws(seed):
+    rng = random.Random(seed)
     for _ in range(100):
         k = rng.randrange(2, 9)
-        g = _random_portrait(rng, k)
-        h = _random_portrait(rng, k)
+        g = random_portrait(rng, k)
+        h = random_portrait(rng, k)
         if compose(g, inverse(g)) != identity(k):
             return False
         if compose(inverse(g), g) != identity(k):
@@ -384,43 +439,35 @@ def _check_group_laws(rng):
     return True
 
 
-def _check_associativity(rng):
+def _check_associativity(seed):
+    rng = random.Random(seed)
     for _ in range(100):
         k = rng.randrange(2, 9)
-        a, b, c = (_random_portrait(rng, k) for _ in range(3))
+        a, b, c = (random_portrait(rng, k) for _ in range(3))
         if compose(compose(a, b), c) != compose(a, compose(b, c)):
             return False
     return True
 
 
-def _check_leaf_homomorphism(rng):
+def _check_leaf_homomorphism(seed):
+    rng = random.Random(seed)
     for g in wreath.all_portraits(2):
         for h in wreath.all_portraits(2):
             if leaf_permutation(compose(g, h)) != leaf_permutation(g) * leaf_permutation(h):
                 return False
     for _ in range(100):
         k = rng.randrange(2, 9)
-        g, h = _random_portrait(rng, k), _random_portrait(rng, k)
+        g, h = random_portrait(rng, k), random_portrait(rng, k)
         if leaf_permutation(compose(g, h)) != leaf_permutation(g) * leaf_permutation(h):
             return False
     return True
 
 
-def _check_sign_law(rng):
-    for k in range(1, 4):
-        for g in wreath.all_portraits(k):
-            expect = -1 if level_index(g, k - 1) % 2 else 1
-            if leaf_permutation(g).sign() != expect:
-                return False
-    for _ in range(200):
-        g = _random_portrait(rng, 8)
-        expect = -1 if level_index(g, 7) % 2 else 1
-        if leaf_permutation(g).sign() != expect:
-            return False
-    return True
+def _check_sign_law(seed):
+    return sign_law_violations(samples=200, seed=seed) == 0
 
 
-def _check_single_label_cycle_type(rng):
+def _check_single_label_cycle_type(seed):
     for k in range(1, 7):
         for l in range(k):
             for j in range(1 << l):
@@ -436,7 +483,8 @@ def _check_single_label_cycle_type(rng):
     return True
 
 
-def _check_distance_isometry(rng):
+def _check_distance_isometry(seed):
+    rng = random.Random(seed)
     for _ in range(200):
         k = rng.randrange(2, 7)
         level = rng.randrange(1, k)
@@ -455,19 +503,20 @@ def _check_distance_isometry(rng):
     return True
 
 
-def _check_in_g_flat_vs_recursive(rng):
+def _check_in_g_flat_vs_recursive(seed):
+    rng = random.Random(seed)
     for g in wreath.all_portraits(3):
         if wreath.in_G(g) != wreath.in_G_recursive(g):
             return False
     for _ in range(100):
         k = rng.randrange(2, 9)
-        g = _random_portrait(rng, k)
+        g = random_portrait(rng, k)
         if wreath.in_G(g) != wreath.in_G_recursive(g):
             return False
     return True
 
 
-def _check_in_g_even_sign(rng):
+def _check_in_g_even_sign(seed):
     for k in (2, 3):
         for g in wreath.all_portraits(k):
             if wreath.in_G(g) != (leaf_permutation(g).sign() == 1):
@@ -475,28 +524,16 @@ def _check_in_g_even_sign(rng):
     return True
 
 
-def _check_non_closure(rng):
-    t_elements = [g for g in wreath.all_portraits(3) if wreath.is_type_T(g)]
-    c_elements = [g for g in wreath.all_portraits(3) if wreath.is_type_C(g)]
-    for t1 in t_elements:
-        for t2 in t_elements:
-            if wreath.is_type_C(compose(t1, t2)):
-                return False
-    for c in c_elements:
-        if wreath.is_type_C(compose(c, c)):
-            return False
-    return True
+def _check_non_closure(seed):
+    return non_closure_violations() == 0
 
 
-def _check_w_census(rng):
-    for k in (2, 3, 4):
-        count = sum(1 for g in wreath.all_portraits(k) if wreath.in_W(g))
-        if count != wreath.order_formula(wreath.GroupKind("W", k)):
-            return False
-    return True
+def _check_w_census(seed):
+    return all(_passes("tree/w-count", kind="G", k=k) for k in (2, 3, 4))
 
 
-def _check_abelianization(rng):
+def _check_abelianization(seed):
+    rng = random.Random(seed)
     for g in wreath.all_portraits(3):
         for h in (wreath.tau(3), wreath.alpha(3, 1)):
             lhs = derived.abelianization_B(compose(g, h))
@@ -522,19 +559,20 @@ def _check_abelianization(rng):
     return True
 
 
-def _check_squares(rng):
+def _check_squares(seed):
+    rng = random.Random(seed)
     return derived.squares_in_derived_check(3) and derived.squares_in_derived_check(
         6, samples=500, seed=rng.randrange(1 << 30)
     )
 
 
-def _check_derived_oracle_k3(rng):
-    return _claim_derived_match({"kind": "G", "k": 3}) and _claim_derived_match(
-        {"kind": "B", "k": 3}
+def _check_derived_oracle_k3(seed):
+    return all(
+        _passes("tree/derived-matches-predicate", kind=kind, k=3) for kind in "GB"
     )
 
 
-def _check_order_vs_closure(rng):
+def _check_order_vs_closure(seed):
     cases = [
         ["(1,2,3,4)", "(1,2)"],
         ["(1,3)(2,4)", "(1,2)(3,4)"],
@@ -544,14 +582,15 @@ def _check_order_vs_closure(rng):
     for texts in cases:
         gens = [permgroup.parse_cycles(t, 4) for t in texts]
         group = permgroup.PermGroup(4, gens)
-        if group.order != len(_bruteforce_closure(gens, 512)):
+        if group.order != len(bruteforce_closure(gens, 512)):
             return False
     b3 = wreath.leaf_group(wreath.gen_set_B(3))
-    return b3.order == len(_bruteforce_closure(
+    return b3.order == len(bruteforce_closure(
         [leaf_permutation(g) for g in wreath.gen_set_B(3)], 512))
 
 
-def _check_congruence_multiplicative(rng):
+def _check_congruence_multiplicative(seed):
+    rng = random.Random(seed)
     for _ in range(100):
         n = rng.randrange(2, 21)
         layout = composite.block_layout(n)
@@ -561,8 +600,8 @@ def _check_congruence_multiplicative(rng):
                 parts1.append(None)
                 parts2.append(None)
             else:
-                parts1.append(_random_portrait(rng, block.exponent))
-                parts2.append(_random_portrait(rng, block.exponent))
+                parts1.append(random_portrait(rng, block.exponent))
+                parts2.append(random_portrait(rng, block.exponent))
         e1 = composite.SubdirectElement(layout, tuple(parts1))
         e2 = composite.SubdirectElement(layout, tuple(parts2))
         prod = composite.SubdirectElement(
@@ -579,8 +618,8 @@ def _check_congruence_multiplicative(rng):
     return True
 
 
-def _check_neighbor_ratios(rng):
-    return all(_claim_neighbor_ratios({"n": n}) for n in range(3, 65))
+def _check_neighbor_ratios(seed):
+    return all(_passes("composite/neighbor-ratios", n=n) for n in range(3, 65))
 
 
 SELFTEST_CHECKS = [
@@ -605,11 +644,13 @@ SELFTEST_CHECKS = [
 
 
 def run_selftest(seed: int = DEFAULT_SEED, out=print) -> bool:
-    """Run every named invariant check; report one line per check."""
+    """Run every named invariant check; report one line per check.
+
+    Each check gets the same seed and draws from its own ``random.Random``.
+    """
     all_ok = True
     for name, check in SELFTEST_CHECKS:
-        rng = random.Random(seed)
-        ok = check(rng)
+        ok = check(seed)
         out(f"{'ok  ' if ok else 'FAIL'} {name}")
         if not ok:
             all_ok = False

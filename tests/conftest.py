@@ -2,16 +2,16 @@
 
 The oracle functions here deliberately avoid the package's kernel code
 paths.  Leaf actions are rebuilt by recursion on subtrees, group closures
-by plain breadth-first multiplication, so an error in the iterative kernels
-cannot hide behind itself.
+by plain breadth-first multiplication (``bruteforce_closure``, shared with
+the self test), so an error in the iterative kernels cannot hide behind
+itself.
 """
-
-import random
 
 from hypothesis import settings, strategies as st
 
 from sylow2.permgroup import Permutation
-from sylow2.portrait import Portrait
+from sylow2.portrait import Portrait, random_portrait  # noqa: F401
+from sylow2.verify import bruteforce_closure  # noqa: F401
 
 settings.register_profile("suite", max_examples=60, derandomize=True)
 settings.load_profile("suite")
@@ -28,11 +28,6 @@ def portraits(k: int):
     return st.integers(min_value=0, max_value=(1 << size) - 1).map(
         lambda m: portrait_from_mask(k, m)
     )
-
-
-def random_portrait(rng: random.Random, k: int) -> Portrait:
-    size = (1 << k) - 1
-    return Portrait(k, bytes(rng.getrandbits(1) for _ in range(size)))
 
 
 def oracle_leaf_images(levels):
@@ -65,23 +60,3 @@ def oracle_leaf_images(levels):
 def oracle_leaf_permutation(g: Portrait) -> Permutation:
     levels = [list(g.level_bits(l)) for l in range(g.depth)]
     return Permutation(tuple(oracle_leaf_images(levels)))
-
-
-def bruteforce_closure(gens, cap=100_000):
-    """All products of the generators as a set of image tuples."""
-    degree = gens[0].degree if gens else 1
-    identity = tuple(range(degree))
-    seen = {identity}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for g in gens:
-                c = tuple(map(a.__getitem__, g.images))
-                if c not in seen:
-                    if len(seen) >= cap:
-                        raise ValueError("closure cap exceeded")
-                    seen.add(c)
-                    nxt.append(c)
-        frontier = nxt
-    return seen

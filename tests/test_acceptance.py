@@ -3,30 +3,20 @@
 Each test prints one pass/fail line (visible with ``pytest -s``) and
 enforces the stated exactness and runtime budget.  Budgets are wall-clock
 upper bounds; the suite is far below them on either kernel backend.
+
+Criteria that restate a claim run it from the claim table (``claim``) and
+then check the computed value against the number the criterion states, so
+an error on the table's expected side cannot pass here either.
 """
 
-import random
 import time
 from collections import Counter
 
-from sylow2 import composite, derived, wreath
-from sylow2.composite import (
-    build_gens_A,
-    build_gens_S,
-    iso_4k2,
-    order_syl2_A,
-    order_syl2_S,
-    rank_syl2_A,
-)
-from sylow2.permgroup import (
-    PermGroup,
-    derived_subgroup,
-    frattini_of_2group,
-    parse_cycles,
-    rank_of_2group,
-)
-from sylow2.portrait import Portrait, compose, leaf_permutation, level_index
-from sylow2.wreath import all_portraits, gen_set_G, in_G, leaf_group
+from sylow2 import derived, verify, wreath
+from sylow2.composite import build_gens_A, build_gens_S, iso_4k2, order_syl2_A
+from sylow2.permgroup import PermGroup, parse_cycles, rank_of_2group
+from sylow2.portrait import Portrait, compose
+from sylow2.wreath import all_portraits
 
 A14_GENS = [
     "(11,12)(13,14)",
@@ -70,11 +60,17 @@ def report(number, text):
     print(f"[PASS] criterion {number:2d}: {text}")
 
 
+def claim(claim_id, **params):
+    """Run one claim from the table, require a pass, return the computed value."""
+    record = verify.run_claim(claim_id, params)
+    assert record.passed, record
+    return record.computed
+
+
 def test_criterion_01_orders_of_G_k():
     with budget(5) as b:
         for k, expected in ((2, 4), (3, 64), (4, 16384)):
-            group = leaf_group(gen_set_G(k))
-            assert group.order == expected == 1 << ((1 << k) - 2)
+            assert 1 << claim("tree/order-log2", kind="G", k=k) == expected
     report(1, f"oracle orders of the even tree groups are 4, 64, 16384 "
               f"({b.elapsed:.2f}s)")
 
@@ -104,67 +100,28 @@ def test_criterion_03_a28_reproduction():
 
 
 def test_criterion_04_commutator_criterion():
-    by_predicate_b = {
-        leaf_permutation(g).images
-        for g in all_portraits(3)
-        if derived.in_derived_B(g)
-    }
-    oracle_b = {
-        e.images
-        for e in derived_subgroup(leaf_group(wreath.gen_set_B(3))).elements(200)
-    }
-    assert by_predicate_b == oracle_b and len(oracle_b) == 16
-    by_predicate_g = {
-        leaf_permutation(g).images
-        for g in all_portraits(3)
-        if in_G(g) and derived.in_derived_G(g)
-    }
-    oracle_g = {
-        e.images
-        for e in derived_subgroup(leaf_group(gen_set_G(3))).elements(200)
-    }
-    assert by_predicate_g == oracle_g and len(oracle_g) == 8
+    for kind, size in (("B", 16), ("G", 8)):
+        assert claim("tree/derived-matches-predicate", kind=kind, k=3) is True
+        assert 1 << claim("tree/derived-order-log2", kind=kind, k=3) == size
     report(4, "even-index criteria match the oracle derived subgroups "
               "elementwise (16 and 8 elements)")
 
 
 def test_criterion_05_squares():
-    violations = 0
-    for g in all_portraits(3):
-        if not derived.in_derived_B(compose(g, g)):
-            violations += 1
-    rng = random.Random(505)
-    for _ in range(10_000):
-        g = Portrait(6, bytes(rng.getrandbits(1) for _ in range(63)))
-        if not derived.in_derived_B(compose(g, g)):
-            violations += 1
-    assert violations == 0
+    assert derived.squares_in_derived_check(3) is True
+    assert derived.squares_in_derived_check(6, samples=10_000, seed=505) is True
     report(5, "all 128 depth-3 squares and 10^4 random depth-6 squares have "
               "even indexes everywhere")
 
 
 def test_criterion_06_frattini_quotient():
     for k in (2, 3, 4):
-        group = leaf_group(gen_set_G(k))
-        phi = frattini_of_2group(group)
-        assert group.order // phi.order == 1 << k
+        assert 1 << claim("tree/frattini-quotient-log2", kind="G", k=k) == 2**k
     report(6, "Frattini quotients have order 2^k for k = 2, 3, 4")
 
 
 def test_criterion_07_sign_law():
-    violations = 0
-    for k in (1, 2, 3):
-        for g in all_portraits(k):
-            expected = -1 if level_index(g, k - 1) % 2 else 1
-            if leaf_permutation(g).sign() != expected:
-                violations += 1
-    rng = random.Random(707)
-    for _ in range(10_000):
-        g = Portrait(8, bytes(rng.getrandbits(1) for _ in range(255)))
-        expected = -1 if level_index(g, 7) % 2 else 1
-        if leaf_permutation(g).sign() != expected:
-            violations += 1
-    assert violations == 0
+    assert verify.sign_law_violations(samples=10_000, seed=707) == 0
     report(7, "leaf sign equals bottom-level index parity, exhaustively to "
               "depth 3 and on 10^4 random depth-8 portraits")
 
@@ -189,40 +146,23 @@ def test_criterion_08_isomorphism():
 def test_criterion_09_rank_sweep():
     with budget(120) as b:
         for n in (6, 8, 12, 14, 16, 20, 24, 28):
-            gens = build_gens_A(n)
-            assert rank_of_2group(PermGroup(n, gens)) == len(gens) == rank_syl2_A(n)
+            assert claim("composite/rank", kind="A", n=n) == len(build_gens_A(n))
     report(9, f"oracle ranks match the closed formula at n = 6, 8, 12, 14, "
               f"16, 20, 24, 28 ({b.elapsed:.2f}s)")
 
 
 def test_criterion_10_order_ratios():
     for n in range(2, 65):
-        if n % 2 == 1:
-            assert order_syl2_A(n) == order_syl2_A(n - 1)
-        if n % 4 == 3 and n >= 7:  # degenerate below 7: both sides trivial
-            assert order_syl2_A(n) == 2 * order_syl2_A(n - 2)
-        if n % 2 == 0 and n >= 4:
-            v = (n & -n).bit_length() - 1
-            assert order_syl2_A(n) == order_syl2_S(n - 1) * 2 ** (v - 1)
+        assert claim("composite/neighbor-ratios", kind="A", n=n) is True
     for n in range(4, 17):
-        assert PermGroup(n, build_gens_A(n)).order == order_syl2_A(n)
-        assert PermGroup(n, build_gens_S(n)).order == order_syl2_S(n)
+        for kind in ("A", "S"):
+            claim("composite/order-log2", kind=kind, n=n)
     report(10, "neighbor order ratios hold from the formulas for n <= 64 "
                "and against the oracle for n <= 16")
 
 
 def test_criterion_11_non_closure():
-    t_elements = [g for g in all_portraits(3) if wreath.is_type_T(g)]
-    c_elements = [g for g in all_portraits(3) if wreath.is_type_C(g)]
-    violations = 0
-    for t1 in t_elements:
-        for t2 in t_elements:
-            if wreath.is_type_T(compose(t1, t2)):
-                violations += 1
-    for c in c_elements:
-        if wreath.is_type_C(compose(c, c)):
-            violations += 1
-    assert violations == 0
+    assert verify.non_closure_violations() == 0
     report(11, "no product of two odd-half elements stays odd-half; no "
                "square of a combined element stays combined")
 

@@ -46,6 +46,18 @@ def test_gens_count_matches_rank(capsys):
         assert len(out.strip().splitlines()) == int(expected)
 
 
+@pytest.mark.parametrize("kind", ["A", "S"])
+@pytest.mark.parametrize("n", ["0", "-5"])
+def test_gens_nonpositive_n_exits_2(capsys, kind, n):
+    code, out, err = run(capsys, "gens", kind, n)
+    assert (code, out) == (2, "")
+    assert err == "error: n must be positive\n"
+
+
+def test_gens_trivial_group_prints_nothing(capsys):
+    assert run(capsys, "gens", "S", "1") == (0, "", "")
+
+
 # -- member / calc ------------------------------------------------------------
 
 def test_member_command(capsys):
@@ -123,6 +135,20 @@ def test_verify_large_n_full_refused(capsys):
     code, _, err = run(capsys, "verify", "A", "40", "--level", "full")
     assert code == 2
     assert "capped" in err
+
+
+@pytest.mark.parametrize("kind,target,bound", [
+    ("A", "0", "n >= 1"),
+    ("S", "-1", "n >= 1"),
+    ("B", "0", "1 <= k <= 5"),
+    ("B", "-1", "1 <= k <= 5"),
+    ("G", "1", "2 <= k <= 5"),
+    ("B", "6", "1 <= k <= 5"),
+])
+def test_verify_target_out_of_range_exits_2(capsys, kind, target, bound):
+    code, out, err = run(capsys, "verify", kind, target)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and bound in err
 
 
 def test_verify_large_n_quick_formula_only(capsys):

@@ -124,12 +124,6 @@ def test_sylow_property_up_to_12():
         assert PermGroup(n, gens).order == 2 ** (two_part_of_factorial(n) - 1)
 
 
-def test_rank_sweep():
-    for n in (6, 8, 12, 14, 16, 20, 24, 28):
-        gens = build_gens_A(n)
-        assert rank_of_2group(PermGroup(n, gens)) == len(gens) == rank_syl2_A(n)
-
-
 def test_tuples_satisfy_congruence():
     for n in (6, 12, 14, 28):
         for element in build_tuples_A(n):
