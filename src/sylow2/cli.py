@@ -35,12 +35,12 @@ _MEMBER_PREDICATES = {
 
 
 def _cmd_order(args):
-    order = (
-        composite.order_syl2_A(args.n)
+    exponent = (
+        composite.order_log2_syl2_A(args.n)
         if args.kind == "A"
-        else composite.order_syl2_S(args.n)
+        else composite.order_log2_syl2_S(args.n)
     )
-    print(f"2^{order.bit_length() - 1}")
+    print(f"2^{exponent}")
     return 0
 
 
@@ -123,7 +123,11 @@ def _cmd_verify(args):
         )
     doc = verify.report_to_json(args.kind, args.target, args.level, args.seed, records)
     if args.json:
-        verify.write_report(args.json, doc)
+        try:
+            verify.write_report(args.json, doc)
+        except OSError as exc:
+            print(f"error: cannot write the report: {exc}", file=sys.stderr)
+            return 2
     return 0 if doc["pass"] else 1
 
 

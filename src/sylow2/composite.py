@@ -122,18 +122,25 @@ def two_part_of_factorial(n: int) -> int:
     return e
 
 
-def order_syl2_S(n: int) -> int:
+def order_log2_syl2_S(n: int) -> int:
+    """Exponent of the order, n - popcount(n), without forming the power."""
     if n < 1:
         raise ValueError("n must be positive")
-    return 1 << (n - n.bit_count())
+    return n - n.bit_count()
+
+
+def order_log2_syl2_A(n: int) -> int:
+    """Exponent of the order: one less than for S_n once n >= 2."""
+    e = order_log2_syl2_S(n)
+    return e - 1 if n >= 2 else e
+
+
+def order_syl2_S(n: int) -> int:
+    return 1 << order_log2_syl2_S(n)
 
 
 def order_syl2_A(n: int) -> int:
-    if n < 1:
-        raise ValueError("n must be positive")
-    if n < 2:
-        return 1
-    return 1 << (n - n.bit_count() - 1)
+    return 1 << order_log2_syl2_A(n)
 
 
 def rank_syl2_S(n: int) -> int:

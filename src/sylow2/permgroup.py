@@ -8,10 +8,14 @@ sizes) can be checked against plain permutation computations.
 Permutations act on points 1..n in the text interface (cycle notation) and
 on 0..n-1 internally.  All products are left action: ``(p * q)(x) = p(q(x))``.
 
-The stabilizer chain is the classical deterministic Schreier-Sims
-construction with explicit transversals.  Degrees in this package stay small
-(<= 64 on the oracle side), so no randomization is needed and every order or
-membership answer is exact, not Monte Carlo.
+The stabilizer chain keeps explicit transversals.  The groups that the
+claims ask about are 2-groups, so the chain grows one index-2 step at a time
+(Sims' method for solvable groups: C. C. Sims, "Computing the order of a
+solvable permutation group", J. Symb. Comput. 9, 1990), forming squares and
+conjugates but no Schreier generators.  A group that proves not to be a
+2-group falls back to the classical deterministic Schreier-Sims closure.
+Oracle claims stay at degree <= 32 (``verify.ORACLE_LIMIT``).  No step is
+randomized, so every order or membership answer is exact, not Monte Carlo.
 """
 
 from __future__ import annotations
@@ -148,22 +152,33 @@ def _identity_raw(degree):
     return t
 
 
+class _NotA2Group(Exception):
+    """Index-2 extensions nested deeper than any 2-group of the degree needs."""
+
+
 class PermGroup:
     """Permutation group with an exact base-and-strong-generating-set chain.
 
-    Construction runs the deterministic Schreier-Sims algorithm to a
-    verified fixpoint (every Schreier generator sifts to the identity), so
-    ``order`` and ``contains`` are exact.  Instances are immutable after
-    construction and safe to query concurrently.
+    Construction grows the chain one index-2 step at a time (Sims' method
+    for solvable groups, specialised to 2-groups), which forms no Schreier
+    generators.  A group that turns out not to be a 2-group is rebuilt by
+    the deterministic Schreier-Sims closure from every generator received so
+    far, and keeps that closure for later generators.  Either way ``order``
+    and ``contains`` are exact.  Instances are immutable after construction
+    and safe to query concurrently.
     """
+
+    _by_closure = False  # set once the instance falls back to the closure
 
     def __init__(self, degree: int, generators=()):
         if degree < 1:
             raise ValueError("degree must be positive")
         self.degree = degree
         self.generators: list[Permutation] = []
+        self._received: list[tuple[int, ...]] = []  # replayed by the closure
         self._bases: list[int] = []
-        # per level: strong generators fixing all earlier base points
+        # per level: strong generators fixing all earlier base points; on the
+        # index-2 path level 0 holds every extension element, in order
         self._sgens: list[list[tuple[int, ...]]] = []
         # per level: orbit point -> (u, u_inverse) with u(base) = point
         self._transversals: list[dict[int, tuple]] = []
@@ -178,6 +193,66 @@ class PermGroup:
     # -- construction ----------------------------------------------------
 
     def _add_generator(self, raw):
+        """Extend the chain with one permutation."""
+        self._received.append(raw)
+        if self._by_closure:
+            self._close_with(raw)
+        elif not self._contains_raw(raw):
+            try:
+                self._extend(raw, 0)
+            except (_NotA2Group, RecursionError):
+                # at large degrees the interpreter's recursion limit comes
+                # before the degree bound; either way, start over
+                self._rebuild_by_closure()
+
+    def _extend(self, raw, depth):
+        """Add raw, not yet a member, by index-2 steps.
+
+        First make raw normalise the group H built so far, with its square
+        in H: add the square, then each conjugate raw.h.raw^-1 of an
+        extension element h, whenever it is not a member yet.  Then H and
+        raw generate a group with H at index 2.
+
+        In a 2-group P, raw from the j-th term of P's lower exponent-2
+        central series (times H) nests calls only for elements of the
+        (j+1)-th term (times H).  The series has fewer terms than the degree,
+        so nesting deeper than the degree proves P is not a 2-group.
+        """
+        if depth > self.degree:
+            raise _NotA2Group
+        square = mult_perm(raw, raw)
+        if not self._contains_raw(square):
+            self._extend(square, depth + 1)
+        inverse = inv_perm(raw)
+        i = 0
+        while self._sgens and i < len(self._sgens[0]):  # grows as H does
+            h = self._sgens[0][i]
+            conjugate = mult_perm(raw, mult_perm(h, inverse))
+            if conjugate != h and not self._contains_raw(conjugate):
+                self._extend(conjugate, depth + 1)
+            i += 1
+        residue, level = self._strip(raw, 0)
+        if residue != _identity_raw(self.degree):
+            self._double(residue, level)
+
+    def _double(self, raw, level):
+        """Extend by raw, which fixes bases[:level], normalises the group
+        and squares into it, so the orbit at that level doubles."""
+        self._install(raw, level)
+        inverse = inv_perm(raw)
+        transversal = self._transversals[level]
+        for point, (u, u_inv) in list(transversal.items()):
+            transversal[raw[point]] = (mult_perm(raw, u), mult_perm(u_inv, inverse))
+
+    def _rebuild_by_closure(self):
+        """Start the chain over with the closure, from every generator."""
+        self._by_closure = True
+        self._bases, self._sgens, self._transversals = [], [], []
+        self._processed, self._bfs_seen = [], []
+        for raw in self._received:
+            self._close_with(raw)
+
+    def _close_with(self, raw):
         """Extend the chain with one permutation, then re-close it."""
         residue, level = self._strip(raw, 0)
         if residue == _identity_raw(self.degree):
@@ -250,13 +325,16 @@ class PermGroup:
 
     def _strip(self, raw, start):
         """Sift raw through levels >= start; return (residue, stuck level)."""
-        for i in range(start, len(self._bases)):
-            x = raw[self._bases[i]]
+        bases = self._bases
+        for i in range(start, len(bases)):
+            x = raw[bases[i]]
+            if x == bases[i]:
+                continue  # the coset representative is the identity
             entry = self._transversals[i].get(x)
             if entry is None:
                 return raw, i
             raw = mult_perm(entry[1], raw)
-        return raw, len(self._bases)
+        return raw, len(bases)
 
     # -- queries ----------------------------------------------------------
 
@@ -329,7 +407,7 @@ def group_from_generators(gens, degree: int | None = None) -> PermGroup:
 
 def normal_closure(G: PermGroup, seeds) -> PermGroup:
     """Smallest subgroup containing the seeds and normalized by G."""
-    N = PermGroup(G.degree)
+    N = type(G)(G.degree)
     gen_raws = [g.images for g in G.generators]
     queue = []
     for s in seeds:

@@ -81,21 +81,24 @@ def _log2(order):
 # claim table
 # --------------------------------------------------------------------------
 
-def _composite_group(params):
+def _composite_gens(params):
     n, kind = params["n"], params["kind"]
-    gens = composite.build_gens_A(n) if kind == "A" else composite.build_gens_S(n)
-    return permgroup.PermGroup(n, gens), gens
+    return composite.build_gens_A(n) if kind == "A" else composite.build_gens_S(n)
+
+
+def _composite_group(params):
+    return permgroup.PermGroup(params["n"], _composite_gens(params))
 
 
 def _expected_order_log2(params):
     n, kind = params["n"], params["kind"]
-    order = composite.order_syl2_A(n) if kind == "A" else composite.order_syl2_S(n)
-    return order.bit_length() - 1
+    if kind == "A":
+        return composite.order_log2_syl2_A(n)
+    return composite.order_log2_syl2_S(n)
 
 
 def _claim_order_log2(params):
-    group, _ = _composite_group(params)
-    return _log2(group.order)
+    return _log2(_composite_group(params).order)
 
 
 def _claim_legendre(params):
@@ -107,37 +110,38 @@ def _claim_legendre(params):
 
 
 def _claim_rank(params):
-    group, _ = _composite_group(params)
-    return permgroup.rank_of_2group(group)
+    return permgroup.rank_of_2group(_composite_group(params))
 
 
 def _claim_all_even(params):
-    _, gens = _composite_group(params)
-    return all(g.sign() == 1 for g in gens)
+    return all(g.sign() == 1 for g in _composite_gens(params))
 
 
 def _claim_fixed_point(params):
-    group, _ = _composite_group(params)
     n = params["n"]
-    return n if group.orbit(n - 1) == {n - 1} else None
+    fixed = all(g.apply(n - 1) == n - 1 for g in _composite_gens(params))
+    return n if fixed else None
 
 
 def _claim_neighbor_ratios(params):
+    """Order ratios of neighbouring n, compared as exponents of 2, so that
+    no power of 2 is formed for large n."""
     n = params["n"]
+    log_a, log_s = composite.order_log2_syl2_A, composite.order_log2_syl2_S
     ok = True
     if n % 2 == 1 and n >= 3:
-        ok &= composite.order_syl2_A(n) == composite.order_syl2_A(n - 1)
-        ok &= composite.order_syl2_S(n) == composite.order_syl2_S(n - 1)
+        ok &= log_a(n) == log_a(n - 1)
+        ok &= log_s(n) == log_s(n - 1)
     if n % 4 == 3 and n >= 7:  # at n = 3 both sides are trivial groups
-        ok &= composite.order_syl2_A(n) == 2 * composite.order_syl2_A(n - 2)
+        ok &= log_a(n) == log_a(n - 2) + 1
     if n % 2 == 0 and n >= 4:
         v = (n & -n).bit_length() - 1
-        ok &= composite.order_syl2_A(n) == composite.order_syl2_S(n - 1) << (v - 1)
+        ok &= log_a(n) == log_s(n - 1) + v - 1
     return bool(ok)
 
 
 def _claim_enumeration_even(params):
-    group, _ = _composite_group(params)
+    group = _composite_group(params)
     elements = group.elements(4096)
     return len(elements) == group.order and all(g.sign() == 1 for g in elements)
 

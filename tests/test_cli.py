@@ -20,6 +20,13 @@ def test_order_command(capsys):
     assert run(capsys, "order", "A", "2")[:2] == (0, "2^0\n")
 
 
+def test_order_huge_n(capsys):
+    # popcount(10**20) is 26; the order itself has too many digits to form
+    n = str(10**20)
+    assert run(capsys, "order", "S", n) == (0, "2^99999999999999999974\n", "")
+    assert run(capsys, "order", "A", n) == (0, "2^99999999999999999973\n", "")
+
+
 def test_rank_command(capsys):
     assert run(capsys, "rank", "A", "28")[:2] == (0, "8\n")
     assert run(capsys, "rank", "A", "14")[:2] == (0, "5\n")
@@ -156,6 +163,22 @@ def test_verify_large_n_quick_formula_only(capsys):
     assert code == 0
     assert "order-log2" not in out  # no oracle claims above the cap
     assert "legendre-cross-check" in out
+
+
+def test_verify_huge_n_quick(capsys):
+    code, out, _ = run(capsys, "verify", "S", str(10**20))
+    assert code == 0
+    assert "expected=99999999999999999974 computed=99999999999999999974" in out
+    assert "composite/neighbor-ratios" in out and "FAIL" not in out
+
+
+def test_verify_unwritable_report_exits_2(capsys, tmp_path):
+    report = tmp_path / "missing-dir" / "x.json"
+    code, out, err = run(capsys, "verify", "A", "7", "--json", str(report))
+    assert code == 2
+    assert "FAIL" not in out
+    assert err.startswith("error: ") and "x.json" in err
+    assert not report.exists()
 
 
 def test_report_roundtrip(capsys, tmp_path):

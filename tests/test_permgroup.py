@@ -1,6 +1,11 @@
+import random
+import sys
+
 import pytest
 
 from conftest import bruteforce_closure
+from sylow2 import wreath
+from sylow2.composite import build_gens_A, build_gens_S
 from sylow2.permgroup import (
     PermGroup,
     Permutation,
@@ -248,3 +253,125 @@ def test_orbit():
     G = group_from_generators(perms(["(1,2)(5,6)", "(1,3)(2,4)"], 6))
     assert G.orbit(0) == {0, 1, 2, 3}
     assert G.orbit(4) == {4, 5}
+
+
+# -- index-2 chains against the Schreier-Sims closure --------------------------
+
+class ClosureGroup(PermGroup):
+    """The reference: the Schreier-Sims closure from the first generator on,
+    also for the normal closures (Frattini, derived) built from it."""
+
+    _by_closure = True
+
+
+def random_perms(degree, seed, count=50):
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        images = list(range(degree))
+        rng.shuffle(images)
+        out.append(Permutation(tuple(images)))
+    return out
+
+
+def assert_matches_closure(gens, degree, randoms):
+    """Order, Frattini rank and membership of generators, of products of
+    generators and of the given random permutations, all as the closure;
+    the whole group too, up to 4096 elements."""
+    fast = PermGroup(degree, gens)
+    ref = ClosureGroup(degree, gens)
+    assert not fast._by_closure  # every input here is a 2-group
+    assert fast.order == ref.order
+    assert rank_of_2group(fast) == rank_of_2group(ref)
+    probes = list(gens) + [a * b for a in gens[:3] for b in gens[-3:]] + randoms
+    for p in probes:
+        assert fast.contains(p) == ref.contains(p)
+    if fast.order <= 4096:
+        got = {e.images for e in fast.elements(4096)}
+        assert got == {e.images for e in ref.elements(4096)}
+        assert len(got) == fast.order
+
+
+@pytest.mark.parametrize("n", range(1, 33))
+def test_composite_chains_match_closure(n):
+    randoms = random_perms(n, seed=n)
+    for gens in (build_gens_A(n), build_gens_S(n)):
+        assert_matches_closure(gens, n, randoms)
+
+
+@pytest.mark.parametrize("n", [8, 12, 16, 24])
+def test_random_2groups_match_closure(n):
+    # subgroups generated by random words in the Sylow 2-subgroup's
+    # generators, on points relabelled by a random permutation
+    rng = random.Random(n)
+    sylow = build_gens_S(n)
+    randoms = random_perms(n, seed=n)
+    for relabel in randoms[:10]:
+        gens = []
+        for _ in range(rng.randrange(1, 4)):
+            g = Permutation.identity(n)
+            for _ in range(rng.randrange(1, 8)):
+                g = g * rng.choice(sylow)
+            gens.append(relabel * g * relabel.inverse())
+        assert_matches_closure(gens, n, randoms)
+
+
+def _diagonal_sets(kind, k):
+    return [
+        [leaf_permutation(g) for g in gens]
+        for gens in wreath._diagonal_candidates(kind, k)
+    ]
+
+
+def test_diagonal_chains_match_closure_depth_2_3():
+    cases = [gens for kind in "BG" for k in (2, 3) for gens in _diagonal_sets(kind, k)]
+    assert len(cases) == 2 + 16 + 1 + 8
+    randoms = {degree: random_perms(degree, seed=degree) for degree in (4, 8)}
+    for gens in cases:
+        assert_matches_closure(gens, gens[0].degree, randoms[gens[0].degree])
+
+
+def test_diagonal_chains_match_closure_depth_4_sample():
+    cases = _diagonal_sets("B", 4) + _diagonal_sets("G", 4)
+    assert len(cases) == 3072
+    randoms = random_perms(16, seed=16)
+    for gens in random.Random(4).sample(cases, 768):
+        assert_matches_closure(gens, 16, randoms)
+
+
+@pytest.mark.parametrize(
+    "texts, degree, order",
+    [
+        (["(1,2,3)", "(1,2)"], 3, 6),  # S3
+        (["(1,2,3,4)", "(1,2)"], 4, 24),  # S4
+        (["(1,2,3,4,5)", "(1,2,3)"], 5, 60),  # A5
+        (["(1,2,3)"], 3, 3),  # C3
+        (["(1,2)", "(2,3)"], 3, 6),  # S3 from involutions only
+    ],
+)
+def test_non_2group_falls_back_to_closure(texts, degree, order):
+    gens = perms(texts, degree)
+    G = PermGroup(degree, gens)
+    assert G.order == order
+    assert G._by_closure
+    ref = ClosureGroup(degree, gens)  # the replay builds the same chain
+    assert G.base() == ref.base()
+    assert G.elements(60) == ref.elements(60)
+
+
+def test_normal_closures_switch_to_closure_part_way():
+    S4 = group_from_generators(perms(["(1,2,3,4)", "(1,2)"], 4))
+    for N in (normal_closure(S4, [parse_cycles("(1,2,3)", 4)]), derived_subgroup(S4)):
+        assert N.order == 12
+        assert N._by_closure
+    V4 = normal_closure(S4, [parse_cycles("(1,2)(3,4)", 4)])
+    assert V4.order == 4
+    assert not V4._by_closure
+
+
+def test_large_degree_fallback():
+    # the recursion limit, not the degree bound, stops the index-2 attempt
+    degree = sys.getrecursionlimit() + 1
+    G = PermGroup(degree, perms(["(1,2)", "(2,3)"], degree))
+    assert G.order == 6
+    assert G._by_closure

@@ -41,6 +41,19 @@ def test_run_verification_b_kind():
     assert by_id["tree/derived-matches-predicate"].computed is True
 
 
+def test_generator_claims_build_no_chain(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a chain was built")
+
+    monkeypatch.setattr(verify.permgroup, "PermGroup", refuse)
+    for n in (3, 7, 13, 31):  # n = 3 has no generators at all
+        for kind in "AS":
+            params = {"kind": kind, "n": n}
+            assert verify.run_claim("composite/fixed-point", params).computed == n
+            if kind == "A":
+                assert verify.run_claim("composite/all-even", params).computed is True
+
+
 def test_report_document_structure():
     records = verify.run_verification("A", 12, "quick")
     doc = verify.report_to_json("A", 12, "quick", 1729, records)
