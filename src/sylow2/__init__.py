@@ -17,7 +17,6 @@ from sylow2.composite import (
     rank_syl2_A,
     rank_syl2_S,
 )
-from sylow2.kernels import BACKEND
 from sylow2.permgroup import (
     PermGroup,
     Permutation,
@@ -59,6 +58,7 @@ from sylow2.wreath import (
 )
 
 __version__ = "0.1.0"
+BACKEND = "python"  # the kernels are pure Python; reported in provenance
 
 __all__ = [
     "BACKEND",

@@ -180,11 +180,23 @@ def _odd_structure(k: int, j: int) -> Portrait:
     return Portrait(k, bytes(bits))
 
 
+# Explicit generators hold 2**k - 1 labels per depth-k block and n points
+# each once embedded, so time and memory grow with n; the order and rank
+# formulas need no such cap.
+GENS_LIMIT = 1 << 20
+
+
+def _check_gens_n(n: int) -> None:
+    if n < 1:
+        raise ValueError("n must be positive")
+    if n > GENS_LIMIT:
+        raise ValueError(f"n must be at most {GENS_LIMIT} to build generators")
+
+
 def build_tuples_S(n: int) -> list[SubdirectElement]:
     """Per-block single-label generators of the full (symmetric) product;
     empty for n = 1."""
-    if n < 1:
-        raise ValueError("n must be positive")
+    _check_gens_n(n)
     layout = block_layout(n)
     out = []
     for bi, block in enumerate(layout.blocks):
@@ -201,8 +213,7 @@ def build_gens_S(n: int) -> list[Permutation]:
 
 def build_tuples_A(n: int) -> list[SubdirectElement]:
     """Minimal generating tuples for the even part; empty below n = 4."""
-    if n < 1:
-        raise ValueError("n must be positive")
+    _check_gens_n(n)
     if n < 4:
         return []
     if n % 2 == 1:

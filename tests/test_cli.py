@@ -61,6 +61,14 @@ def test_gens_nonpositive_n_exits_2(capsys, kind, n):
     assert err == "error: n must be positive\n"
 
 
+@pytest.mark.parametrize("kind, n", [("S", 10**20), ("A", 2**40), ("A", 2**20 + 1)])
+def test_gens_huge_n_exits_2(capsys, kind, n):
+    # order/rank still answer for such n (test_order_huge_n); gens would
+    # need gigabytes, so it names the bound instead
+    err = "error: n must be at most 1048576 to build generators\n"
+    assert run(capsys, "gens", kind, str(n)) == (2, "", err)
+
+
 def test_gens_trivial_group_prints_nothing(capsys):
     assert run(capsys, "gens", "S", "1") == (0, "", "")
 

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+import sylow2
 from conftest import (
     oracle_leaf_permutation,
     portrait_from_mask,
@@ -133,6 +134,17 @@ def test_leaf_permutation_examples():
 def test_leaf_permutation_matches_recursive_oracle():
     for g in all_portraits(3):
         assert leaf_permutation(g) == oracle_leaf_permutation(g)
+    # past 256 leaves too, and through products and inverses, on the one
+    # kernel implementation there is
+    assert sylow2.BACKEND == "python"
+    rng = random.Random(2017)
+    for k in range(1, 13):
+        for _ in range(6):
+            g, h = random_portrait(rng, k), random_portrait(rng, k)
+            pg, ph = oracle_leaf_permutation(g), oracle_leaf_permutation(h)
+            assert leaf_permutation(g) == pg
+            assert leaf_permutation(compose(g, h)) == pg * ph
+            assert leaf_permutation(inverse(g)) == pg.inverse()
 
 
 def test_leaf_homomorphism_exhaustive_k2():
