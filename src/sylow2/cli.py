@@ -107,13 +107,6 @@ def _cmd_calc(args):
 
 
 def _cmd_verify(args):
-    if args.kind in ("A", "S") and args.level == "full" and args.target > verify.ORACLE_LIMIT:
-        print(
-            f"full verification is oracle-backed and capped at n = "
-            f"{verify.ORACLE_LIMIT}; use --level quick for formula-only checks",
-            file=sys.stderr,
-        )
-        return 2
     records = verify.run_verification(args.kind, args.target, args.level, args.seed)
     for r in records:
         status = "pass" if r.passed else "FAIL"

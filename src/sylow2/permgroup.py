@@ -14,7 +14,7 @@ claims ask about are 2-groups, so the chain grows one index-2 step at a time
 solvable permutation group", J. Symb. Comput. 9, 1990), forming squares and
 conjugates but no Schreier generators.  A group that proves not to be a
 2-group falls back to the classical deterministic Schreier-Sims closure.
-Oracle claims stay at degree <= 32 (``verify.ORACLE_LIMIT``).  No step is
+Oracle claims stay at degree <= 32 (``verify.plan_claims``).  No step is
 randomized, so every order or membership answer is exact, not Monte Carlo.
 """
 

@@ -12,6 +12,10 @@ values bit for bit.
 Report records carry: claim id, params, expected value, provenance tag,
 computed value, pass flag and wall time.  Record lists are always sorted by
 claim id, so report ordering is canonical no matter how the claims ran.
+A report has a ``summary`` (``composite.verification_record``) exactly
+when its records include the oracle order claim; the summary's oracle
+values are taken from those records.  ``plan_claims`` alone decides where
+the oracle runs (kinds A and S up to n = 32).
 """
 
 from __future__ import annotations
@@ -257,7 +261,9 @@ def plan_claims(kind: str, target: int, level: str, seed: int) -> list[tuple[str
     """Choose the claims to run for one verification target.
 
     Raises ValueError, naming the bound, for a target outside n >= 1 (kinds
-    A and S), 1 <= k <= 5 (B) or 2 <= k <= 5 (G).
+    A and S), 1 <= k <= 5 (B) or 2 <= k <= 5 (G), and for a full A or S
+    run above the oracle limit; a quick one there plans only the formula
+    claims.
     """
     plan = []
     if kind in ("A", "S"):
@@ -283,6 +289,11 @@ def plan_claims(kind: str, target: int, level: str, seed: int) -> list[tuple[str
                     tree = {"kind": "G", "k": k}
                     plan.append(("tree/frattini-quotient-log2", tree))
                     plan.append(("tree/derived-order-log2", tree))
+        elif level == "full":
+            raise ValueError(
+                f"full verification is oracle-backed and capped at n = "
+                f"{ORACLE_LIMIT}; use --level quick for formula-only checks"
+            )
     elif kind in ("B", "G"):
         k = target
         low = 1 if kind == "B" else 2
@@ -334,6 +345,7 @@ def recompute(record: dict):
 
 
 def report_to_json(kind, target, level, seed, records) -> dict:
+    computed = {r.claim: r.computed for r in records}
     doc = {
         "kind": kind,
         "target": target,
@@ -342,8 +354,11 @@ def report_to_json(kind, target, level, seed, records) -> dict:
         "pass": all(r.passed for r in records),
         "claims": [asdict(r) for r in records],
     }
-    if kind in ("A", "S") and target <= ORACLE_LIMIT:
-        doc["summary"] = composite.verification_record(target, kind)
+    if "composite/order-log2" in computed:
+        doc["summary"] = composite.verification_record(
+            target, kind, computed["composite/order-log2"],
+            computed["composite/rank"],
+        )
     return doc
 
 

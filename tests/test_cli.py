@@ -147,9 +147,11 @@ def test_verify_tree_kind(capsys):
 
 
 def test_verify_large_n_full_refused(capsys):
-    code, _, err = run(capsys, "verify", "A", "40", "--level", "full")
+    code, out, err = run(capsys, "verify", "A", "40", "--level", "full")
     assert code == 2
     assert "capped" in err
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 @pytest.mark.parametrize("kind,target,bound", [

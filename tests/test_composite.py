@@ -4,7 +4,7 @@ from collections import Counter
 import pytest
 
 from conftest import random_portrait
-from sylow2 import composite
+from sylow2 import composite, verify
 from sylow2.composite import (
     BinaryDecomposition,
     SubdirectElement,
@@ -17,7 +17,6 @@ from sylow2.composite import (
     count_sylow2_of_S,
     decompose,
     embed,
-    fixed_points_odd,
     iso_4k2,
     order_syl2_A,
     order_syl2_S,
@@ -221,10 +220,11 @@ def test_iso_randomized_larger(n):
 # -- odd n, counting, boxtimes ------------------------------------------------------
 
 def test_fixed_point_examples():
-    assert fixed_points_odd(7) == 7
-    assert fixed_points_odd(5) == 5
-    with pytest.raises(ValueError):
-        fixed_points_odd(8)
+    for kind in "AS":
+        for n, fixed in ((5, 5), (7, 7), (8, None)):
+            params = {"kind": kind, "n": n}
+            claim = verify.run_claim("composite/fixed-point", params)
+            assert claim.computed == fixed
 
 
 def test_fixed_point_orbit():
@@ -310,14 +310,24 @@ def test_neighbor_order_identities_oracle():
 
 # -- verification record -----------------------------------------------------------
 
+def _record(n, kind, rank_offset=0):
+    # oracle values as the verify claims compute them
+    params = {"kind": kind, "n": n}
+    order_log2 = verify.run_claim("composite/order-log2", params).computed
+    rank = verify.run_claim("composite/rank", params).computed
+    return verification_record(n, kind, order_log2, rank + rank_offset)
+
+
 def test_verification_record_fields_and_pass():
-    rec = verification_record(14, "A")
+    rec = _record(14, "A")
     assert rec["pass"]
     assert rec["decomposition"] == [1, 2, 3]
     assert rec["expected_order_log2"] == rec["oracle_order_log2"] == 10
     assert rec["expected_rank"] == rec["oracle_rank"] == 5
     assert rec["all_even"]
-    rec = verification_record(7, "A")
+    rec = _record(7, "A")
     assert rec["pass"] and rec["fixed_points"] == [7]
-    rec = verification_record(12, "S")
+    rec = _record(12, "S")
     assert rec["pass"] and not rec["all_even"]
+    rec = _record(14, "A", rank_offset=1)
+    assert rec["oracle_rank"] == 6 and not rec["pass"]

@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from sylow2 import composite, verify
+from sylow2 import verify
 
 
 def test_every_planned_claim_is_registered():
@@ -24,6 +24,11 @@ def test_quick_plan_above_oracle_limit_is_formula_only():
         "composite/legendre-cross-check",
         "composite/neighbor-ratios",
     }
+
+
+def test_full_plan_above_oracle_limit_is_refused():
+    with pytest.raises(ValueError, match="capped at n = 32"):
+        verify.plan_claims("S", 33, "full", 1729)
 
 
 def test_run_verification_s_kind():
@@ -54,6 +59,25 @@ def test_generator_claims_build_no_chain(monkeypatch):
                 assert verify.run_claim("composite/all-even", params).computed is True
 
 
+def test_report_summary_builds_no_chain(monkeypatch):
+    runs = [("A", 14, "full"), ("S", 12, "quick")]
+    records = {run: verify.run_verification(*run) for run in runs}
+    summaries = {
+        run: verify.report_to_json(*run, 1729, records[run])["summary"]
+        for run in runs
+    }
+
+    def refuse(*args):
+        raise AssertionError("a chain was built")
+
+    monkeypatch.setattr(verify.permgroup, "PermGroup", refuse)
+    for run in runs:
+        doc = verify.report_to_json(*run, 1729, records[run])
+        assert doc["summary"] == summaries[run]
+        assert doc["summary"]["oracle_order_log2"] == 10
+        assert doc["summary"]["oracle_rank"] == 5
+
+
 def test_report_document_structure():
     records = verify.run_verification("A", 12, "quick")
     doc = verify.report_to_json("A", 12, "quick", 1729, records)
@@ -79,6 +103,7 @@ def test_fixture_report_reproduces(path):
     # reports written by an earlier version of the claim code; every claim
     # must still recompute, and re-run, to the recorded values
     doc = verify.read_report(path)
+    records = []
     for record in doc["claims"]:
         assert verify.recompute(record) == record["computed"]
         fresh = verify.run_claim(record["claim"], record["params"])
@@ -86,10 +111,13 @@ def test_fixture_report_reproduces(path):
             record["expected"], record["provenance"], record["computed"],
             record["passed"],
         )
-    if "summary" in doc:
-        assert doc["summary"] == composite.verification_record(
-            doc["target"], doc["kind"]
-        )
+        records.append(fresh)
+    # the stored summaries were written by code that rebuilt the chain
+    assert ("summary" in doc) == (doc["kind"] in ("A", "S"))
+    rebuilt = verify.report_to_json(
+        doc["kind"], doc["target"], doc["level"], doc["seed"], records
+    )
+    assert rebuilt.get("summary") == doc.get("summary")
 
 
 def test_fixtures_cover_every_claim():
