@@ -8,14 +8,16 @@ sizes) can be checked against plain permutation computations.
 Permutations act on points 1..n in the text interface (cycle notation) and
 on 0..n-1 internally.  All products are left action: ``(p * q)(x) = p(q(x))``.
 
-The stabilizer chain keeps explicit transversals.  The groups that the
-claims ask about are 2-groups, so the chain grows one index-2 step at a time
-(Sims' method for solvable groups: C. C. Sims, "Computing the order of a
-solvable permutation group", J. Symb. Comput. 9, 1990), forming squares and
-conjugates but no Schreier generators.  A group that proves not to be a
-2-group falls back to the classical deterministic Schreier-Sims closure.
-Oracle claims stay at degree <= 32 (``verify.plan_claims``).  No step is
-randomized, so every order or membership answer is exact, not Monte Carlo.
+The stabilizer chain keeps explicit transversals.  Every group the package
+asks about is a 2-group (a Sylow 2-subgroup of S_n or A_n, a tree group, or
+a derived or Frattini subgroup of one), so ``PermGroup`` accepts 2-groups
+only and grows the chain one index-2 step at a time (Sims' method for
+solvable groups: C. C. Sims, "Computing the order of a solvable permutation
+group", J. Symb. Comput. 9, 1990), forming squares and conjugates but no
+Schreier generators.  Generators of a group that is not a 2-group raise
+``ValueError``.  Oracle claims stay at degree <= 32 (``verify.plan_claims``).
+No step is randomized, so every order or membership answer is exact, not
+Monte Carlo.
 """
 
 from __future__ import annotations
@@ -142,48 +144,30 @@ def format_cycles(p: Permutation) -> str:
     return "".join("(" + ",".join(str(x + 1) for x in cyc) + ")" for cyc in cycles)
 
 
-_ID_CACHE: dict[int, tuple[int, ...]] = {}
-
-
-def _identity_raw(degree):
-    t = _ID_CACHE.get(degree)
-    if t is None:
-        t = _ID_CACHE[degree] = tuple(range(degree))
-    return t
-
-
-class _NotA2Group(Exception):
-    """Index-2 extensions nested deeper than any 2-group of the degree needs."""
-
-
 class PermGroup:
-    """Permutation group with an exact base-and-strong-generating-set chain.
+    """A 2-group of permutations with an exact base-and-strong-generating-set
+    chain.
 
     Construction grows the chain one index-2 step at a time (Sims' method
     for solvable groups, specialised to 2-groups), which forms no Schreier
-    generators.  A group that turns out not to be a 2-group is rebuilt by
-    the deterministic Schreier-Sims closure from every generator received so
-    far, and keeps that closure for later generators.  Either way ``order``
-    and ``contains`` are exact.  Instances are immutable after construction
-    and safe to query concurrently.
+    generators.  Generators of a group that is not a 2-group raise
+    ``ValueError``, from the constructor or from ``normal_closure``.
+    ``order`` and ``contains`` are exact.  Instances are immutable after
+    construction and safe to query concurrently.
     """
-
-    _by_closure = False  # set once the instance falls back to the closure
 
     def __init__(self, degree: int, generators=()):
         if degree < 1:
             raise ValueError("degree must be positive")
         self.degree = degree
         self.generators: list[Permutation] = []
-        self._received: list[tuple[int, ...]] = []  # replayed by the closure
+        self._identity = tuple(range(degree))
         self._bases: list[int] = []
-        # per level: strong generators fixing all earlier base points; on the
-        # index-2 path level 0 holds every extension element, in order
+        # per level: strong generators fixing all earlier base points; level 0
+        # holds every extension element, in order
         self._sgens: list[list[tuple[int, ...]]] = []
         # per level: orbit point -> (u, u_inverse) with u(base) = point
         self._transversals: list[dict[int, tuple]] = []
-        self._processed: list[set[tuple[int, int]]] = []
-        self._bfs_seen: list[int] = []  # generator count at last orbit BFS
         for g in generators:
             if g.degree != degree:
                 raise ValueError("degree mismatch among generators")
@@ -194,18 +178,16 @@ class PermGroup:
 
     def _add_generator(self, raw):
         """Extend the chain with one permutation."""
-        self._received.append(raw)
-        if self._by_closure:
-            self._close_with(raw)
-        elif not self._contains_raw(raw):
+        if not self._contains_raw(raw):
             try:
-                self._extend(raw, 0)
-            except (_NotA2Group, RecursionError):
-                # at large degrees the interpreter's recursion limit comes
-                # before the degree bound; either way, start over
-                self._rebuild_by_closure()
+                self._extend(raw, 0, {})
+            except RecursionError:
+                raise ValueError(
+                    "index-2 extensions nested beyond the interpreter's "
+                    "recursion limit; the generators may not form a 2-group"
+                ) from None
 
-    def _extend(self, raw, depth):
+    def _extend(self, raw, depth, path):
         """Add raw, not yet a member, by index-2 steps.
 
         First make raw normalise the group H built so far, with its square
@@ -213,26 +195,42 @@ class PermGroup:
         extension element h, whenever it is not a member yet.  Then H and
         raw generate a group with H at index 2.
 
-        In a 2-group P, raw from the j-th term of P's lower exponent-2
-        central series (times H) nests calls only for elements of the
-        (j+1)-th term (times H).  The series has fewer terms than the degree,
-        so nesting deeper than the degree proves P is not a 2-group.
+        Let P be a 2-group holding raw and H, and P_j the j-th term of its
+        lower exponent-2 central series.  If raw lies in P_j.H, its square
+        and its conjugates lie in P_(j+1).H, so each nested call moves one
+        term down.  Two rules stop generators that are not a 2-group, whose
+        nesting never ends:
+
+        - The series has fewer terms than the degree, so nesting deeper
+          than the degree proves P is not a 2-group.
+        - Take j maximal with raw in P_j.H.  While H does not grow, every
+          element nested below raw lies in P_(j+1).H, which does not hold
+          raw; so raw recurring on the nesting path with H unchanged since
+          its entry proves P is not a 2-group.  ``path`` maps each element
+          whose extension has started to the number of extension elements
+          at its latest start, a count that grows exactly when H does.  An
+          element whose extension has finished is a member and never comes
+          back, so only elements on the nesting path can recur.
         """
         if depth > self.degree:
-            raise _NotA2Group
+            raise ValueError("not a 2-group: index-2 nesting deeper than the degree")
+        size = len(self._sgens[0]) if self._sgens else 0
+        if path.get(raw) == size:
+            raise ValueError("not a 2-group: an element recurred while extending")
+        path[raw] = size
         square = mult_perm(raw, raw)
         if not self._contains_raw(square):
-            self._extend(square, depth + 1)
+            self._extend(square, depth + 1, path)
         inverse = inv_perm(raw)
         i = 0
         while self._sgens and i < len(self._sgens[0]):  # grows as H does
             h = self._sgens[0][i]
             conjugate = mult_perm(raw, mult_perm(h, inverse))
             if conjugate != h and not self._contains_raw(conjugate):
-                self._extend(conjugate, depth + 1)
+                self._extend(conjugate, depth + 1, path)
             i += 1
-        residue, level = self._strip(raw, 0)
-        if residue != _identity_raw(self.degree):
+        residue, level = self._strip(raw)
+        if residue != self._identity:
             self._double(residue, level)
 
     def _double(self, raw, level):
@@ -244,97 +242,28 @@ class PermGroup:
         for point, (u, u_inv) in list(transversal.items()):
             transversal[raw[point]] = (mult_perm(raw, u), mult_perm(u_inv, inverse))
 
-    def _rebuild_by_closure(self):
-        """Start the chain over with the closure, from every generator."""
-        self._by_closure = True
-        self._bases, self._sgens, self._transversals = [], [], []
-        self._processed, self._bfs_seen = [], []
-        for raw in self._received:
-            self._close_with(raw)
-
-    def _close_with(self, raw):
-        """Extend the chain with one permutation, then re-close it."""
-        residue, level = self._strip(raw, 0)
-        if residue == _identity_raw(self.degree):
-            return
-        self._install(residue, level)
-        self._close()
-
     def _install(self, raw, level):
         # raw fixes bases[:level]; register it at that level and at every
         # shallower one, keeping the generator sets nested along the chain
         if level == len(self._bases):
             base = next(i for i, v in enumerate(raw) if i != v)
-            identity = _identity_raw(self.degree)
             self._bases.append(base)
             self._sgens.append([])
-            self._transversals.append({base: (identity, identity)})
-            self._processed.append(set())
-            self._bfs_seen.append(0)
+            self._transversals.append({base: (self._identity, self._identity)})
         for j in range(level + 1):
             self._sgens[j].append(raw)
 
-    def _close(self):
-        """Close levels deepest-first until all Schreier generators sift.
-
-        Processing the deep end first keeps the transversals consulted by
-        _strip current, which is what makes the sweep terminate.
-        """
-        while True:
-            for i in range(len(self._bases) - 1, -1, -1):
-                if self._close_level(i):
-                    break  # a new generator landed somewhere; start over
-            else:
-                return
-
-    def _close_level(self, i):
-        """Refresh the orbit at level i and sift its next Schreier generators.
-
-        Stops at the first new strong generator and returns True; returns
-        False once every pair at this level sifts to the identity.
-        """
-        gens = self._sgens[i]
-        transversal = self._transversals[i]
-        if self._bfs_seen[i] != len(gens):
-            self._bfs_seen[i] = len(gens)
-            queue = list(transversal)
-            while queue:
-                p = queue.pop()
-                up = transversal[p][0]
-                for s in gens:
-                    q = s[p]
-                    if q not in transversal:
-                        u = mult_perm(s, up)
-                        transversal[q] = (u, inv_perm(u))
-                        queue.append(q)
-        identity = _identity_raw(self.degree)
-        for p in list(transversal):
-            up = transversal[p][0]
-            for gi, s in enumerate(gens):
-                key = (p, gi)
-                if key in self._processed[i]:
-                    continue
-                self._processed[i].add(key)
-                uq_inv = transversal[s[p]][1]
-                schreier = mult_perm(uq_inv, mult_perm(s, up))
-                residue, level = self._strip(schreier, i + 1)
-                if residue != identity:
-                    self._install(residue, level)
-                    return True
-        return False
-
-    def _strip(self, raw, start):
-        """Sift raw through levels >= start; return (residue, stuck level)."""
-        bases = self._bases
-        for i in range(start, len(bases)):
-            x = raw[bases[i]]
-            if x == bases[i]:
+    def _strip(self, raw):
+        """Sift raw through the chain; return (residue, stuck level)."""
+        for i, base in enumerate(self._bases):
+            x = raw[base]
+            if x == base:
                 continue  # the coset representative is the identity
             entry = self._transversals[i].get(x)
             if entry is None:
                 return raw, i
             raw = mult_perm(entry[1], raw)
-        return raw, len(bases)
+        return raw, len(self._bases)
 
     # -- queries ----------------------------------------------------------
 
@@ -354,8 +283,8 @@ class PermGroup:
         return self._contains_raw(g.images)
 
     def _contains_raw(self, raw) -> bool:
-        residue, _ = self._strip(raw, 0)
-        return residue == _identity_raw(self.degree)
+        residue, _ = self._strip(raw)
+        return residue == self._identity
 
     def __contains__(self, g: Permutation) -> bool:
         return self.contains(g)
@@ -364,7 +293,7 @@ class PermGroup:
         """All elements, exactly once; raises ValueError above the cap."""
         if self.order > cap:
             raise ValueError(f"order {self.order} exceeds cap {cap}")
-        raws = [_identity_raw(self.degree)]
+        raws = [self._identity]
         for level in range(len(self._bases) - 1, -1, -1):
             raws = [
                 mult_perm(entry[0], h)
@@ -386,10 +315,6 @@ class PermGroup:
                     seen.add(q)
                     queue.append(q)
         return seen
-
-    def is_2group(self) -> bool:
-        n = self.order
-        return n & (n - 1) == 0
 
     def __repr__(self) -> str:
         return f"PermGroup(degree={self.degree}, order={self.order})"
@@ -414,10 +339,9 @@ def normal_closure(G: PermGroup, seeds) -> PermGroup:
         if s.degree != G.degree:
             raise ValueError("degree mismatch")
         queue.append(s.images)
-    identity = _identity_raw(G.degree)
     while queue:
         raw = queue.pop()
-        if raw == identity or N._contains_raw(raw):
+        if raw == N._identity or N._contains_raw(raw):
             continue
         N._add_generator(raw)
         N.generators.append(Permutation(raw))
@@ -426,14 +350,13 @@ def normal_closure(G: PermGroup, seeds) -> PermGroup:
     return N
 
 
+def _commutators(gens) -> list[Permutation]:
+    return [a * b * a.inverse() * b.inverse() for a in gens for b in gens]
+
+
 def derived_subgroup(G: PermGroup) -> PermGroup:
     """Commutator subgroup [G, G]."""
-    seeds = []
-    gens = G.generators
-    for a in gens:
-        for b in gens:
-            seeds.append(a * b * a.inverse() * b.inverse())
-    return normal_closure(G, seeds)
+    return normal_closure(G, _commutators(G.generators))
 
 
 def frattini_of_2group(G: PermGroup) -> PermGroup:
@@ -443,14 +366,7 @@ def frattini_of_2group(G: PermGroup) -> PermGroup:
     subgroup it is generated by the squares and pairwise commutators of any
     generating set, which is what gets closed here.
     """
-    if not G.is_2group():
-        raise ValueError(f"order {G.order} is not a power of 2")
-    seeds = [g * g for g in G.generators]
-    gens = G.generators
-    for a in gens:
-        for b in gens:
-            seeds.append(a * b * a.inverse() * b.inverse())
-    return normal_closure(G, seeds)
+    return normal_closure(G, [g * g for g in G.generators] + _commutators(G.generators))
 
 
 def rank_of_2group(G: PermGroup) -> int:
@@ -458,8 +374,6 @@ def rank_of_2group(G: PermGroup) -> int:
 
     The trivial group reports rank 0.
     """
-    if not G.is_2group():
-        raise ValueError(f"order {G.order} is not a power of 2")
     if G.order == 1:
         return 0
     phi = frattini_of_2group(G)

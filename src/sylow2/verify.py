@@ -592,8 +592,14 @@ def _check_derived_oracle_k3(seed):
 
 
 def _check_order_vs_closure(seed):
+    s4 = [permgroup.parse_cycles(t, 4) for t in ("(1,2,3,4)", "(1,2)")]
+    try:  # S4 has order 24, so it is not a 2-group
+        permgroup.PermGroup(4, s4)
+        return False
+    except ValueError:
+        pass
     cases = [
-        ["(1,2,3,4)", "(1,2)"],
+        ["(1,2,3,4)"],
         ["(1,3)(2,4)", "(1,2)(3,4)"],
         ["(1,2,3,4)", "(1,3)"],
         ["(1,2)", "(3,4)"],

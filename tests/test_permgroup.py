@@ -1,11 +1,15 @@
+import ast
+import inspect
 import random
 import sys
+from pathlib import Path
 
 import pytest
 
 from conftest import bruteforce_closure
-from sylow2 import wreath
-from sylow2.composite import build_gens_A, build_gens_S
+from sylow2 import permgroup, wreath
+from sylow2.composite import build_gens_A, build_gens_S, order_syl2_S
+from sylow2.kernels import inv_perm, mult_perm
 from sylow2.permgroup import (
     PermGroup,
     Permutation,
@@ -32,6 +36,51 @@ A14_PUBLISHED_GENS = [
     "(1,5)(2,6)(3,7)(4,8)",
     "(1,3)(2,4)",
 ]
+S4_GENS = ["(1,2,3,4)", "(1,2)"]
+
+
+class ClosureGroup(PermGroup):
+    """The reference: PermGroup's chain and queries, built by the
+    deterministic Schreier-Sims closure, so any group is accepted.  Frattini,
+    derived and rank use it all the way down: normal_closure builds type(G)."""
+
+    def __init__(self, degree, generators=()):
+        self._sifted = set()  # (level, point, generator index) done
+        super().__init__(degree, generators)
+
+    def _add_generator(self, raw):
+        residue, level = self._strip(raw)
+        while residue != self._identity:
+            self._install(residue, level)
+            residue, level = self._unsifted_schreier_generator()
+
+    def _unsifted_schreier_generator(self):
+        """Residue and stuck level of the first Schreier generator that does
+        not sift; deepest level first keeps the sweep finite."""
+        for i in range(len(self._bases) - 1, -1, -1):
+            gens, transversal = self._sgens[i], self._transversals[i]
+            points = list(transversal)
+            for p in points:  # grows until the orbit is complete
+                up = transversal[p][0]
+                for gi, s in enumerate(gens):
+                    if s[p] not in transversal:
+                        u = mult_perm(s, up)
+                        transversal[s[p]] = (u, inv_perm(u))
+                        points.append(s[p])
+                    elif (i, p, gi) not in self._sifted:
+                        self._sifted.add((i, p, gi))
+                        schreier = mult_perm(transversal[s[p]][1], mult_perm(s, up))
+                        residue, level = self._strip(schreier)  # fixes bases[:i + 1]
+                        if residue != self._identity:
+                            return residue, level
+        return self._identity, 0
+
+
+def closure_only(degree, gens):
+    """The closure reference for a group that PermGroup must refuse."""
+    with pytest.raises(ValueError, match="not a 2-group"):
+        PermGroup(degree, gens)
+    return ClosureGroup(degree, gens)
 
 
 # -- cycle text --------------------------------------------------------------
@@ -91,7 +140,7 @@ def test_cycle_type():
 # -- stabilizer chain ---------------------------------------------------------
 
 def test_order_s4():
-    assert group_from_generators(perms(["(1,2,3,4)", "(1,2)"], 4)).order == 24
+    assert closure_only(4, perms(S4_GENS, 4)).order == 24
 
 
 def test_order_klein_four():
@@ -120,7 +169,12 @@ def test_order_matches_bruteforce_closure():
     ]
     for texts, degree in cases:
         gens = perms(texts, degree)
-        assert group_from_generators(gens).order == len(bruteforce_closure(gens))
+        order = len(bruteforce_closure(gens))
+        if order & (order - 1):  # S4, A4 and C6 are not 2-groups
+            assert closure_only(degree, gens).order == order
+        else:
+            assert PermGroup(degree, gens).order == order
+            assert ClosureGroup(degree, gens).order == order
     for k, gen_set in ((2, gen_set_B(2)), (3, gen_set_B(3)), (3, gen_set_G(3))):
         gens = [leaf_permutation(g) for g in gen_set]
         assert group_from_generators(gens).order == len(bruteforce_closure(gens))
@@ -131,7 +185,7 @@ def test_contains_examples():
     assert V4.contains(parse_cycles("(1,3)(2,4)", 4))
     assert V4.contains(parse_cycles("(1,4)(2,3)", 4))
     assert not V4.contains(parse_cycles("(1,2)", 4))
-    C3 = group_from_generators([parse_cycles("(1,2,3)", 3)])
+    C3 = closure_only(3, [parse_cycles("(1,2,3)", 3)])
     assert C3.contains(parse_cycles("(1,3,2)", 3))
 
 
@@ -157,18 +211,15 @@ def test_construction_degree_mismatch():
 
 
 def test_every_generator_is_a_member():
-    for texts, degree in [
-        (["(1,2,3,4)", "(1,2)"], 4),
-        (A14_PUBLISHED_GENS, 14),
-    ]:
-        G = group_from_generators(perms(texts, degree))
+    S4 = closure_only(4, perms(S4_GENS, 4))
+    for G in (S4, group_from_generators(perms(A14_PUBLISHED_GENS, 14))):
         assert all(G.contains(g) for g in G.generators)
 
 
 # -- normal closure, derived, Frattini ----------------------------------------
 
 def test_normal_closure_examples():
-    S4 = group_from_generators(perms(["(1,2,3,4)", "(1,2)"], 4))
+    S4 = closure_only(4, perms(S4_GENS, 4))
     assert normal_closure(S4, [parse_cycles("(1,2,3)", 4)]).order == 12
     assert normal_closure(S4, []).order == 1
     D4 = group_from_generators(perms(["(1,2,3,4)", "(1,3)"], 4))
@@ -176,7 +227,7 @@ def test_normal_closure_examples():
 
 
 def test_derived_subgroup_examples():
-    S3 = group_from_generators(perms(["(1,2,3)", "(1,2)"], 3))
+    S3 = closure_only(3, perms(["(1,2,3)", "(1,2)"], 3))
     assert derived_subgroup(S3).order == 3
     V4 = group_from_generators(perms(["(1,3)(2,4)", "(1,2)(3,4)"], 4))
     assert derived_subgroup(V4).order == 1
@@ -194,11 +245,10 @@ def test_frattini_examples():
 
 
 def test_frattini_rejects_non_2group():
-    S3 = group_from_generators(perms(["(1,2,3)", "(1,2)"], 3))
-    with pytest.raises(ValueError):
-        frattini_of_2group(S3)
-    with pytest.raises(ValueError):
-        rank_of_2group(S3)
+    # a PermGroup is a 2-group, so S3 is refused before either call starts
+    for f in (frattini_of_2group, rank_of_2group):
+        with pytest.raises(ValueError, match="not a 2-group"):
+            f(group_from_generators(perms(["(1,2,3)", "(1,2)"], 3)))
 
 
 def test_frattini_is_normal_with_elementary_abelian_quotient():
@@ -238,9 +288,8 @@ def test_enumerate_elements():
     assert len({e.images for e in elements}) == 4
     B3 = group_from_generators([leaf_permutation(g) for g in gen_set_B(3)])
     assert len(B3.elements(200)) == 128
-    S4 = group_from_generators(perms(["(1,2,3,4)", "(1,2)"], 4))
     with pytest.raises(ValueError):
-        S4.elements(3)
+        closure_only(4, perms(S4_GENS, 4)).elements(3)
 
 
 def test_enumeration_matches_bruteforce_membership():
@@ -257,13 +306,6 @@ def test_orbit():
 
 # -- index-2 chains against the Schreier-Sims closure --------------------------
 
-class ClosureGroup(PermGroup):
-    """The reference: the Schreier-Sims closure from the first generator on,
-    also for the normal closures (Frattini, derived) built from it."""
-
-    _by_closure = True
-
-
 def random_perms(degree, seed, count=50):
     rng = random.Random(seed)
     out = []
@@ -278,9 +320,8 @@ def assert_matches_closure(gens, degree, randoms):
     """Order, Frattini rank and membership of generators, of products of
     generators and of the given random permutations, all as the closure;
     the whole group too, up to 4096 elements."""
-    fast = PermGroup(degree, gens)
+    fast = PermGroup(degree, gens)  # every input here is a 2-group
     ref = ClosureGroup(degree, gens)
-    assert not fast._by_closure  # every input here is a 2-group
     assert fast.order == ref.order
     assert rank_of_2group(fast) == rank_of_2group(ref)
     probes = list(gens) + [a * b for a in gens[:3] for b in gens[-3:]] + randoms
@@ -343,35 +384,69 @@ def test_diagonal_chains_match_closure_depth_4_sample():
     "texts, degree, order",
     [
         (["(1,2,3)", "(1,2)"], 3, 6),  # S3
-        (["(1,2,3,4)", "(1,2)"], 4, 24),  # S4
+        (S4_GENS, 4, 24),  # S4
         (["(1,2,3,4,5)", "(1,2,3)"], 5, 60),  # A5
         (["(1,2,3)"], 3, 3),  # C3
         (["(1,2)", "(2,3)"], 3, 6),  # S3 from involutions only
     ],
 )
 def test_non_2group_falls_back_to_closure(texts, degree, order):
-    gens = perms(texts, degree)
-    G = PermGroup(degree, gens)
-    assert G.order == order
-    assert G._by_closure
-    ref = ClosureGroup(degree, gens)  # the replay builds the same chain
-    assert G.base() == ref.base()
-    assert G.elements(60) == ref.elements(60)
+    # groups that are not 2-groups are left to the closure reference
+    assert closure_only(degree, perms(texts, degree)).order == order
 
 
 def test_normal_closures_switch_to_closure_part_way():
-    S4 = group_from_generators(perms(["(1,2,3,4)", "(1,2)"], 4))
+    # normal_closure builds type(G), so S4's normal closures are closures too
+    S4 = closure_only(4, perms(S4_GENS, 4))
     for N in (normal_closure(S4, [parse_cycles("(1,2,3)", 4)]), derived_subgroup(S4)):
-        assert N.order == 12
-        assert N._by_closure
+        assert type(N) is ClosureGroup
+        assert closure_only(4, N.generators).order == N.order == 12
     V4 = normal_closure(S4, [parse_cycles("(1,2)(3,4)", 4)])
-    assert V4.order == 4
-    assert not V4._by_closure
+    assert PermGroup(4, V4.generators).order == V4.order == 4
 
 
 def test_large_degree_fallback():
-    # the recursion limit, not the degree bound, stops the index-2 attempt
-    degree = sys.getrecursionlimit() + 1
-    G = PermGroup(degree, perms(["(1,2)", "(2,3)"], degree))
-    assert G.order == 6
-    assert G._by_closure
+    # above the recursion limit the recurrence rule, not the degree bound or
+    # a RecursionError, stops the index-2 attempt
+    for degree in (sys.getrecursionlimit() + 1, 5000):
+        with pytest.raises(ValueError, match="an element recurred"):
+            PermGroup(degree, perms(["(1,2)", "(2,3)"], degree))
+    # nor where C_1024's chain of squares, 10 deep, passes a lowered limit
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 12)
+    try:
+        with pytest.raises(ValueError) as info:
+            PermGroup(1024, [Permutation(tuple(range(1, 1024)) + (0,))])
+    finally:
+        sys.setrecursionlimit(limit)
+    assert "recursion limit" in str(info.value)
+
+
+@pytest.mark.parametrize("m", range(1, 11))
+def test_cyclic_2groups_accepted(m):
+    # one 2^m-cycle nests its chain of squares m deep; 2^10 points is above
+    # the recursion limit, so neither stopping rule may fire early
+    n = 1 << m
+    G = PermGroup(n, [Permutation(tuple(range(1, n)) + (0,))])
+    assert G.order == n
+    assert rank_of_2group(G) == 1
+
+
+@pytest.mark.parametrize("n", sorted(random.Random(33).sample(range(33, 65), 8)))
+def test_sylow_generators_accepted_in_either_order(n):
+    for gens in (build_gens_S(n), build_gens_S(n)[::-1]):
+        assert PermGroup(n, gens).order == order_syl2_S(n)
+
+
+def test_oracle_imports_only_stdlib_and_kernels():
+    # the oracle stays independent of the portrait code it checks
+    for node in ast.walk(ast.parse(Path(permgroup.__file__).read_text())):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = ["." * node.level + (node.module or "")]
+        else:
+            continue
+        for name in names:
+            top = name.split(".")[0]
+            assert name == "sylow2.kernels" or top in sys.stdlib_module_names, name
