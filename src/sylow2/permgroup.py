@@ -15,7 +15,7 @@ only and grows the chain one index-2 step at a time (Sims' method for
 solvable groups: C. C. Sims, "Computing the order of a solvable permutation
 group", J. Symb. Comput. 9, 1990), forming squares and conjugates but no
 Schreier generators.  Generators of a group that is not a 2-group raise
-``ValueError``.  Oracle claims stay at degree <= 32 (``verify.plan_claims``).
+``ValueError``.  Oracle claims stay at degree <= 128 (``verify.plan_claims``).
 No step is randomized, so every order or membership answer is exact, not
 Monte Carlo.
 """
@@ -91,8 +91,16 @@ class Permutation:
 
     def sign(self) -> int:
         """+1 for even, -1 for odd: (-1)**(n - #cycles incl. fixed points)."""
-        parity = sum(len(c) - 1 for c in self.cycles())
-        return -1 if parity & 1 else 1
+        images = self.images
+        seen = bytearray(len(images))
+        cycles = 0
+        for i in range(len(images)):
+            if not seen[i]:
+                cycles += 1
+                while not seen[i]:
+                    seen[i] = 1
+                    i = images[i]
+        return -1 if (len(images) - cycles) & 1 else 1
 
     def order(self) -> int:
         return math.lcm(*(len(c) for c in self.cycles()))

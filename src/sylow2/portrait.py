@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
 
 from sylow2.kernels import compose_labels, invert_labels, leaf_images
 from sylow2.permgroup import Permutation
@@ -63,12 +64,14 @@ class Portrait:
     def __post_init__(self):
         if self.depth < 1:
             raise ValueError("depth must be >= 1 (the depth-0 tree is empty)")
+        if not isinstance(self.bits, bytes):
+            raise ValueError(f"labels must be bytes, got {type(self.bits).__name__}")
         if len(self.bits) != (1 << self.depth) - 1:
             raise ValueError(
                 f"depth {self.depth} needs {(1 << self.depth) - 1} labels, "
                 f"got {len(self.bits)}"
             )
-        if any(b not in (0, 1) for b in self.bits):
+        if self.bits.translate(None, b"\0\1"):  # any byte other than 0 and 1
             raise ValueError("labels must be 0 or 1")
 
     def label(self, v: Vertex) -> int:
@@ -118,7 +121,7 @@ def identity(k: int) -> Portrait:
 def random_portrait(rng, k: int) -> Portrait:
     """Uniform depth-k portrait: one ``rng.getrandbits(1)`` per label, in
     storage order, so a seeded ``random.Random`` gives a fixed sequence."""
-    return Portrait(k, bytes(rng.getrandbits(1) for _ in range((1 << k) - 1)))
+    return Portrait(k, bytes(map(rng.getrandbits, repeat(1, (1 << k) - 1))))
 
 
 def compose(g: Portrait, h: Portrait) -> Portrait:
@@ -157,7 +160,10 @@ def leaf_permutation(g: Portrait) -> Permutation:
 
 def level_index(g: Portrait, l: int) -> int:
     """Number of active labels on level l."""
-    return sum(g.level_bits(l))
+    if not 0 <= l < g.depth:
+        raise ValueError(f"level {l} outside 0..{g.depth - 1}")
+    start = (1 << l) - 1
+    return g.bits.count(1, start, start + (1 << l))
 
 
 def section(g: Portrait, v: Vertex) -> Portrait:

@@ -15,7 +15,14 @@ claim id, so report ordering is canonical no matter how the claims ran.
 A report has a ``summary`` (``composite.verification_record``) exactly
 when its records include the oracle order claim; the summary's oracle
 values are taken from those records.  ``plan_claims`` alone decides where
-the oracle runs (kinds A and S up to n = 32).
+the oracle runs (kinds A and S up to n = 128, kinds B and G up to depth 7).
+
+Each claim computation also receives the workspace of its run, a plain
+dict that ``run_verification`` creates once.  A group, its Frattini
+subgroup and its derived subgroup are built by the first claim of the run
+that needs them and reused by the rest, so one report builds each chain
+once.  Nothing outlives the run: ``run_claim`` without a workspace and
+``recompute`` start from an empty one.
 """
 
 from __future__ import annotations
@@ -42,7 +49,7 @@ from sylow2.portrait import (
     random_portrait,
 )
 
-ORACLE_LIMIT = 32  # no oracle work above this many points
+ORACLE_LIMIT = 128  # no oracle work above this many points
 
 
 @dataclass
@@ -59,11 +66,12 @@ class VerificationReport:
 @dataclass(frozen=True)
 class Claim:
     """Expected value, its provenance tag, and the computation it is
-    checked against; both callables take the claim's params dict."""
+    checked against.  ``expected`` takes the claim's params dict;
+    ``compute`` takes the params and the workspace of the run."""
 
     expected: Callable[[dict], object]
     provenance: str
-    compute: Callable[[dict], object]
+    compute: Callable[[dict, dict], object]
 
 
 def _random_g_element(rng, k):
@@ -90,8 +98,38 @@ def _composite_gens(params):
     return composite.build_gens_A(n) if kind == "A" else composite.build_gens_S(n)
 
 
-def _composite_group(params):
-    return permgroup.PermGroup(params["n"], _composite_gens(params))
+def _tree_gens(params):
+    k, kind = params["k"], params["kind"]
+    return wreath.gen_set_G(k) if kind == "G" else wreath.gen_set_B(k)
+
+
+def _shared(run, key, build):
+    """The run's workspace entry under key, made by ``build()`` on first use."""
+    if key not in run:
+        run[key] = build()
+    return run[key]
+
+
+def _group(params, run):
+    """The claim's group: the Sylow subgroup for kinds A and S, the tree
+    group for kinds B and G."""
+    kind = params["kind"]
+    if kind in ("A", "S"):
+        n = params["n"]
+        return _shared(run, ("group", kind, n),
+                       lambda: permgroup.PermGroup(n, _composite_gens(params)))
+    return _shared(run, ("group", kind, params["k"]),
+                   lambda: wreath.leaf_group(_tree_gens(params)))
+
+
+def _frattini(params, run):
+    group = _group(params, run)
+    return _shared(run, ("frattini", group), lambda: permgroup.frattini_of_2group(group))
+
+
+def _derived(params, run):
+    group = _group(params, run)
+    return _shared(run, ("derived", group), lambda: permgroup.derived_subgroup(group))
 
 
 def _expected_order_log2(params):
@@ -101,11 +139,11 @@ def _expected_order_log2(params):
     return composite.order_log2_syl2_S(n)
 
 
-def _claim_order_log2(params):
-    return _log2(_composite_group(params).order)
+def _claim_order_log2(params, run):
+    return _log2(_group(params, run).order)
 
 
-def _claim_legendre(params):
+def _claim_legendre(params, run):
     n, kind = params["n"], params["kind"]
     e = composite.two_part_of_factorial(n)
     if kind == "A" and n >= 2:
@@ -113,21 +151,25 @@ def _claim_legendre(params):
     return e
 
 
-def _claim_rank(params):
-    return permgroup.rank_of_2group(_composite_group(params))
+def _claim_rank(params, run):
+    """Rank by the Burnside basis theorem, as ``permgroup.rank_of_2group``
+    (0 for the trivial group), from the run's Frattini subgroup."""
+    if _group(params, run).order == 1:
+        return 0
+    return _claim_frattini_quotient_log2(params, run)
 
 
-def _claim_all_even(params):
+def _claim_all_even(params, run):
     return all(g.sign() == 1 for g in _composite_gens(params))
 
 
-def _claim_fixed_point(params):
+def _claim_fixed_point(params, run):
     n = params["n"]
     fixed = all(g.apply(n - 1) == n - 1 for g in _composite_gens(params))
     return n if fixed else None
 
 
-def _claim_neighbor_ratios(params):
+def _claim_neighbor_ratios(params, run):
     """Order ratios of neighbouring n, compared as exponents of 2, so that
     no power of 2 is formed for large n."""
     n = params["n"]
@@ -144,55 +186,34 @@ def _claim_neighbor_ratios(params):
     return bool(ok)
 
 
-def _claim_enumeration_even(params):
-    group = _composite_group(params)
+def _claim_enumeration_even(params, run):
+    group = _group(params, run)
     elements = group.elements(4096)
     return len(elements) == group.order and all(g.sign() == 1 for g in elements)
 
 
-def _tree_gens(params):
-    k, kind = params["k"], params["kind"]
-    return wreath.gen_set_G(k) if kind == "G" else wreath.gen_set_B(k)
+def _claim_frattini_quotient_log2(params, run):
+    return _log2(_group(params, run).order // _frattini(params, run).order)
 
 
-def _tree_group(params):
-    return wreath.leaf_group(_tree_gens(params))
+def _claim_derived_order_log2(params, run):
+    return _log2(_derived(params, run).order)
 
 
-def _claim_tree_order_log2(params):
-    return _log2(_tree_group(params).order)
-
-
-def _claim_tree_rank(params):
-    return permgroup.rank_of_2group(_tree_group(params))
-
-
-def _claim_frattini_quotient_log2(params):
-    group = _tree_group(params)
-    phi = permgroup.frattini_of_2group(group)
-    return _log2(group.order // phi.order)
-
-
-def _claim_derived_order_log2(params):
-    return _log2(permgroup.derived_subgroup(_tree_group(params)).order)
-
-
-def _claim_w_count(params):
+def _claim_w_count(params, run):
     k = params["k"]
     return sum(1 for g in wreath.all_portraits(k) if wreath.in_W(g))
 
 
-def _claim_derived_match(params):
+def _claim_derived_match(params, run):
     k, kind = params["k"], params["kind"]
     member = derived.in_derived_G if kind == "G" else derived.in_derived_B
-    group = _tree_group(params)
-    sub = permgroup.derived_subgroup(group)
     by_predicate = {
         leaf_permutation(g).images
         for g in wreath.all_portraits(k)
         if (kind == "B" or wreath.in_G(g)) and member(g)
     }
-    by_oracle = {g.images for g in sub.elements(4096)}
+    by_oracle = {g.images for g in _derived(params, run).elements(4096)}
     return by_predicate == by_oracle
 
 
@@ -205,7 +226,7 @@ def _sign_mismatches(portraits):
     )
 
 
-def _claim_sign_law_sample(params):
+def _claim_sign_law_sample(params, run):
     rng = random.Random(params["seed"])
     k = params["k"]
     return _sign_mismatches(random_portrait(rng, k) for _ in range(params["samples"]))
@@ -233,9 +254,9 @@ CLAIMS = {
     "tree/order-log2": Claim(
         lambda p: (1 << p["k"]) - (1 if p["kind"] == "B" else 2),
         "formula",
-        _claim_tree_order_log2,
+        _claim_order_log2,
     ),
-    "tree/rank": Claim(lambda p: p["k"], "formula", _claim_tree_rank),
+    "tree/rank": Claim(lambda p: p["k"], "formula", _claim_rank),
     "tree/frattini-quotient-log2": Claim(
         lambda p: p["k"], "formula", _claim_frattini_quotient_log2
     ),
@@ -261,7 +282,7 @@ def plan_claims(kind: str, target: int, level: str, seed: int) -> list[tuple[str
     """Choose the claims to run for one verification target.
 
     Raises ValueError, naming the bound, for a target outside n >= 1 (kinds
-    A and S), 1 <= k <= 5 (B) or 2 <= k <= 5 (G), and for a full A or S
+    A and S), 1 <= k <= 7 (B) or 2 <= k <= 7 (G), and for a full A or S
     run above the oracle limit; a quick one there plans only the formula
     claims.
     """
@@ -297,8 +318,8 @@ def plan_claims(kind: str, target: int, level: str, seed: int) -> list[tuple[str
     elif kind in ("B", "G"):
         k = target
         low = 1 if kind == "B" else 2
-        if not low <= k <= 5:
-            raise ValueError(f"verify {kind} needs {low} <= k <= 5, got {k}")
+        if not low <= k <= 7:
+            raise ValueError(f"verify {kind} needs {low} <= k <= 7, got {k}")
         base = {"kind": kind, "k": k}
         plan.append(("tree/order-log2", base))
         plan.append(("tree/rank", base))
@@ -317,11 +338,13 @@ def plan_claims(kind: str, target: int, level: str, seed: int) -> list[tuple[str
     return sorted(plan, key=lambda item: item[0])
 
 
-def run_claim(claim: str, params: dict) -> VerificationReport:
+def run_claim(claim: str, params: dict, run: dict | None = None) -> VerificationReport:
+    """Run one claim; ``run`` is the workspace it shares with the other
+    claims of its run, a fresh one when none is given."""
     entry = CLAIMS[claim]
     expected = entry.expected(params)
     start = time.perf_counter()
-    computed = entry.compute(params)
+    computed = entry.compute(params, {} if run is None else run)
     elapsed = time.perf_counter() - start
     return VerificationReport(
         claim=claim,
@@ -336,12 +359,15 @@ def run_claim(claim: str, params: dict) -> VerificationReport:
 
 def run_verification(kind: str, target: int, level: str = "quick",
                      seed: int = DEFAULT_SEED) -> list[VerificationReport]:
-    return [run_claim(c, p) for c, p in plan_claims(kind, target, level, seed)]
+    plan = plan_claims(kind, target, level, seed)
+    run: dict = {}  # each group and subgroup of the run, built once
+    return [run_claim(c, p, run) for c, p in plan]
 
 
 def recompute(record: dict):
-    """Re-run one serialized claim record; returns the fresh computed value."""
-    return CLAIMS[record["claim"]].compute(record["params"])
+    """Re-run one serialized claim record alone, in a fresh workspace;
+    returns the fresh computed value."""
+    return CLAIMS[record["claim"]].compute(record["params"], {})
 
 
 def report_to_json(kind, target, level, seed, records) -> dict:

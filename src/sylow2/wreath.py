@@ -246,10 +246,11 @@ def count_diagonal_bases(kind: str, k: int) -> int:
 
 
 def all_portraits(k: int):
-    """Iterate every depth-k portrait (2**(2**k - 1) of them)."""
-    size = (1 << k) - 1
-    for mask in range(1 << size):
-        yield Portrait(k, bytes((mask >> i) & 1 for i in range(size)))
+    """Iterate every depth-k portrait (2**(2**k - 1) of them), in counting
+    order: label i of the m-th portrait is bit i of m."""
+    # product varies its last entry fastest; reversed makes that label 0
+    for labels in product(b"\0\1", repeat=(1 << k) - 1):
+        yield Portrait(k, bytes(reversed(labels)))
 
 
 def reachable_pairs(k: int) -> list[tuple[int, int]]:

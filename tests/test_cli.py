@@ -147,7 +147,7 @@ def test_verify_tree_kind(capsys):
 
 
 def test_verify_large_n_full_refused(capsys):
-    code, out, err = run(capsys, "verify", "A", "40", "--level", "full")
+    code, out, err = run(capsys, "verify", "A", "129", "--level", "full")
     assert code == 2
     assert "capped" in err
     assert out == ""
@@ -157,10 +157,10 @@ def test_verify_large_n_full_refused(capsys):
 @pytest.mark.parametrize("kind,target,bound", [
     ("A", "0", "n >= 1"),
     ("S", "-1", "n >= 1"),
-    ("B", "0", "1 <= k <= 5"),
-    ("B", "-1", "1 <= k <= 5"),
-    ("G", "1", "2 <= k <= 5"),
-    ("B", "6", "1 <= k <= 5"),
+    ("B", "0", "1 <= k <= 7"),
+    ("B", "-1", "1 <= k <= 7"),
+    ("G", "1", "2 <= k <= 7"),
+    ("B", "8", "1 <= k <= 7"),
 ])
 def test_verify_target_out_of_range_exits_2(capsys, kind, target, bound):
     code, out, err = run(capsys, "verify", kind, target)
@@ -169,7 +169,7 @@ def test_verify_target_out_of_range_exits_2(capsys, kind, target, bound):
 
 
 def test_verify_large_n_quick_formula_only(capsys):
-    code, out, _ = run(capsys, "verify", "A", "40", "--level", "quick")
+    code, out, _ = run(capsys, "verify", "A", "129", "--level", "quick")
     assert code == 0
     assert "order-log2" not in out  # no oracle claims above the cap
     assert "legendre-cross-check" in out

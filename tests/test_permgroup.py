@@ -114,6 +114,17 @@ def test_sign_examples():
     assert parse_cycles("(1,2,3)", 3).sign() == 1
 
 
+def test_sign_matches_cycle_parity_random():
+    rng = random.Random(5)
+    for degree in range(1, 65):
+        for _ in range(5):
+            images = list(range(degree))
+            rng.shuffle(images)
+            p = Permutation(tuple(images))
+            parity = sum(len(c) - 1 for c in p.cycles()) % 2
+            assert p.sign() == (-1 if parity else 1)
+
+
 def test_multiply_is_left_action():
     # q applies first: (p*q)(x) = p(q(x)); pointwise this sends 1->2->3->1
     p, q = parse_cycles("(1,2)", 3), parse_cycles("(2,3)", 3)

@@ -62,6 +62,26 @@ def test_labels_validated():
         Portrait(2, bytes([1, 0]))  # wrong length
     with pytest.raises(ValueError):
         Portrait(2, bytes([2, 0, 0]))  # not a bit
+    with pytest.raises(ValueError):
+        Portrait(2, bytes([255, 0, 0]))
+    with pytest.raises(ValueError):
+        Portrait(2, [0, 1, 0])  # labels must be bytes
+
+
+def test_random_portrait_sequence_is_pinned():
+    # one getrandbits(1) per label in storage order, so a seed fixes every bit
+    rng = random.Random(2024)
+    drawn = [format_portrait(random_portrait(rng, k)) for k in (1, 2, 3, 4, 5, 1, 3)]
+    assert drawn == [
+        "0",
+        "0/11",
+        "0/01/1011",
+        "1/01/0111/00011110",
+        "0/11/0101/11101110/1111101010101010",
+        "0",
+        "0/11/0100",
+    ]
+    assert rng.random() == 0.33082622546923457  # no extra draws
 
 
 # -- compose / inverse ------------------------------------------------------

@@ -1,3 +1,6 @@
+import time
+from collections import Counter
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -19,7 +22,7 @@ def test_plan_is_sorted_by_claim_id():
 
 
 def test_quick_plan_above_oracle_limit_is_formula_only():
-    plan = verify.plan_claims("A", 48, "quick", 1729)
+    plan = verify.plan_claims("A", 129, "quick", 1729)
     assert {claim for claim, _ in plan} == {
         "composite/legendre-cross-check",
         "composite/neighbor-ratios",
@@ -27,8 +30,65 @@ def test_quick_plan_above_oracle_limit_is_formula_only():
 
 
 def test_full_plan_above_oracle_limit_is_refused():
-    with pytest.raises(ValueError, match="capped at n = 32"):
-        verify.plan_claims("S", 33, "full", 1729)
+    with pytest.raises(ValueError, match="capped at n = 128"):
+        verify.plan_claims("S", 129, "full", 1729)
+
+
+@pytest.fixture
+def build_counts(monkeypatch):
+    """Count nonempty chain builds by degree, and the Frattini and derived
+    closures, made through the oracle while the test runs."""
+    counts = Counter()
+    init = verify.permgroup.PermGroup.__init__
+    closure = verify.permgroup.normal_closure
+
+    def counting_init(self, degree, generators=()):
+        generators = list(generators)
+        counts["chain", degree] += bool(generators)
+        init(self, degree, generators)
+
+    def counting_closure(G, seeds):
+        counts["closure"] += 1
+        return closure(G, seeds)
+
+    monkeypatch.setattr(verify.permgroup.PermGroup, "__init__", counting_init)
+    monkeypatch.setattr(verify.permgroup, "normal_closure", counting_closure)
+    for name in ("frattini_of_2group", "derived_subgroup"):
+        original = getattr(verify.permgroup, name)
+
+        def counting(G, _name=name, _original=original):
+            counts[_name] += 1
+            return _original(G)
+
+        monkeypatch.setattr(verify.permgroup, name, counting)
+    return counts
+
+
+@pytest.mark.parametrize("kind,target,degree,derived", [
+    ("A", 28, 28, 0),
+    ("G", 5, 32, 1),
+])
+def test_run_builds_each_chain_and_subgroup_once(build_counts, kind, target,
+                                                  degree, derived):
+    records = verify.run_verification(kind, target, "full")
+    assert all(r.passed for r in records)
+    assert build_counts["chain", degree] == 1
+    assert build_counts["frattini_of_2group"] == 1
+    assert build_counts["derived_subgroup"] == derived
+    assert build_counts["closure"] == 1 + derived
+    for record in records:
+        assert verify.recompute(asdict(record)) == record.computed
+
+
+def test_full_runs_pass_up_to_oracle_limit():
+    targets = [(kind, n) for kind in "AS" for n in (33, 48, 63, 64, 96, 127, 128)]
+    targets += [("B", 7), ("G", 7)]
+    start = time.perf_counter()
+    for kind, target in targets:
+        records = verify.run_verification(kind, target, "full")
+        assert all(r.passed for r in records), (kind, target)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 30, f"took {elapsed:.2f}s, budget 30s"
 
 
 def test_run_verification_s_kind():

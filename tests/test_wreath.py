@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import random_portrait
+from conftest import portrait_from_mask, random_portrait
 from sylow2.permgroup import format_cycles
 from sylow2.portrait import compose, format_portrait, identity, leaf_permutation
 from sylow2.wreath import (
@@ -70,6 +70,13 @@ def test_gen_set_G_sizes_and_parity():
         gens = gen_set_G(k)
         assert len(gens) == k
         assert all(leaf_permutation(g).sign() == 1 for g in gens)
+
+
+def test_all_portraits_counts_labels_up_from_mask_zero():
+    # label i of the m-th portrait is bit i of m
+    for k in (1, 2, 3):
+        expected = [portrait_from_mask(k, m) for m in range(1 << ((1 << k) - 1))]
+        assert list(all_portraits(k)) == expected
 
 
 def test_leaf_action_is_faithful_and_fills_B3():
