@@ -24,7 +24,14 @@ import math
 from dataclasses import dataclass
 
 from sylow2.permgroup import Permutation
-from sylow2.portrait import Portrait, identity, leaf_permutation, level_index
+from sylow2.portrait import (
+    Portrait,
+    Vertex,
+    from_vertices,
+    identity,
+    leaf_permutation,
+    level_index,
+)
 from sylow2.wreath import alpha, gen_set_B, gen_set_G
 
 
@@ -173,10 +180,7 @@ def _identity_parts(layout: BlockLayout) -> list[Portrait | None]:
 def _odd_structure(k: int, j: int) -> Portrait:
     """Generator j of a size-2**k block in odd form: its own label plus the
     bottom-left label (just the bottom-left one when j is the last level)."""
-    bits = bytearray((1 << k) - 1)
-    bits[(1 << j) - 1] = 1
-    bits[(1 << (k - 1)) - 1] = 1
-    return Portrait(k, bytes(bits))
+    return from_vertices(k, [Vertex(j, 1), Vertex(k - 1, 1)])
 
 
 # Explicit generators hold 2**k - 1 labels per depth-k block and n points

@@ -382,8 +382,6 @@ def rank_of_2group(G: PermGroup) -> int:
 
     The trivial group reports rank 0.
     """
-    if G.order == 1:
-        return 0
     phi = frattini_of_2group(G)
     quotient = G.order // phi.order
     return quotient.bit_length() - 1

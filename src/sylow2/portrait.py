@@ -10,6 +10,12 @@ Text format (bit-exact, stable): the levels root-down joined by "/", e.g.
 positions of the bottom level.  Bit j of a level string is the label of the
 level's (j+1)-th vertex counted left to right.
 
+The labels are stored in heap order (level l starts at index 2**l - 1).
+That layout is private to this module and ``sylow2.kernels``: everyone
+else builds a label pattern with ``from_vertices``, the inverse of
+``Portrait.active_vertices``, and reads labels through ``label``,
+``level_bits`` and ``level_index``.
+
 Leaves are numbered 1 + sum(b_i * 2**(k-i)) from the path bits b_1..b_k, so
 the leftmost leaf is 1 and a root label alone swaps the front and back
 halves of 1..2**k.  All composition is left action: (g*h)(w) = g(h(w)).
@@ -18,7 +24,6 @@ Portraits are immutable values; every operation here is a pure function.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -118,6 +123,19 @@ def identity(k: int) -> Portrait:
     return Portrait(k, bytes((1 << k) - 1))
 
 
+def from_vertices(k: int, vertices) -> Portrait:
+    """The depth-k portrait labelled 1 at exactly the given vertices (a
+    repeated vertex counts once); inverse of ``Portrait.active_vertices``."""
+    if k < 1:
+        raise ValueError("depth must be >= 1 (the depth-0 tree is empty)")
+    bits = bytearray((1 << k) - 1)
+    for v in vertices:
+        if v.level >= k:
+            raise ValueError(f"level {v.level} outside depth-{k} portrait")
+        bits[(1 << v.level) - 1 + v.position - 1] = 1
+    return Portrait(k, bytes(bits))
+
+
 def random_portrait(rng, k: int) -> Portrait:
     """Uniform depth-k portrait: one ``rng.getrandbits(1)`` per label, in
     storage order, so a seeded ``random.Random`` gives a fixed sequence."""
@@ -206,11 +224,6 @@ def distance(g: Portrait) -> int:
             if d > best:
                 best = d
     return best
-
-
-def leaf_cycle_type(g: Portrait) -> Counter:
-    """Cycle type of the leaf action, fixed points included."""
-    return leaf_permutation(g).cycle_type()
 
 
 def parse_portrait(text: str) -> Portrait:

@@ -31,18 +31,19 @@ import json
 import random
 import time
 from dataclasses import asdict, dataclass
+from itertools import chain, product
 from typing import Callable
 
 from sylow2 import composite, derived, permgroup, wreath
 from sylow2.portrait import (
     DEFAULT_SEED,
-    Portrait,
+    Vertex,
     compose,
     distance,
     format_portrait,
+    from_vertices,
     identity,
     inverse,
-    leaf_cycle_type,
     leaf_permutation,
     level_index,
     parse_portrait,
@@ -78,9 +79,9 @@ def _random_g_element(rng, k):
     g = random_portrait(rng, k)
     if level_index(g, k - 1) % 2 == 0:
         return g
-    bits = bytearray(g.bits)
-    bits[(1 << (k - 1)) - 1] ^= 1  # fix the bottom parity
-    return Portrait(k, bytes(bits))
+    # alpha on the last level moves no internal vertex, so the product
+    # differs from g in the bottom-left label alone: that fixes the parity
+    return compose(g, wreath.alpha(k, k - 1))
 
 
 def _log2(order):
@@ -151,14 +152,6 @@ def _claim_legendre(params, run):
     return e
 
 
-def _claim_rank(params, run):
-    """Rank by the Burnside basis theorem, as ``permgroup.rank_of_2group``
-    (0 for the trivial group), from the run's Frattini subgroup."""
-    if _group(params, run).order == 1:
-        return 0
-    return _claim_frattini_quotient_log2(params, run)
-
-
 def _claim_all_even(params, run):
     return all(g.sign() == 1 for g in _composite_gens(params))
 
@@ -193,6 +186,8 @@ def _claim_enumeration_even(params, run):
 
 
 def _claim_frattini_quotient_log2(params, run):
+    """log2 |G/Phi(G)|, the rank of G by the Burnside basis theorem (0 for
+    the trivial group), from the run's Frattini subgroup."""
     return _log2(_group(params, run).order // _frattini(params, run).order)
 
 
@@ -241,7 +236,7 @@ CLAIMS = {
         lambda p: composite.rank_syl2_A(p["n"]) if p["kind"] == "A"
         else composite.rank_syl2_S(p["n"]),
         "formula",
-        _claim_rank,
+        _claim_frattini_quotient_log2,
     ),
     "composite/all-even": Claim(lambda p: True, "formula", _claim_all_even),
     "composite/fixed-point": Claim(lambda p: p["n"], "formula", _claim_fixed_point),
@@ -256,7 +251,7 @@ CLAIMS = {
         "formula",
         _claim_order_log2,
     ),
-    "tree/rank": Claim(lambda p: p["k"], "formula", _claim_rank),
+    "tree/rank": Claim(lambda p: p["k"], "formula", _claim_frattini_quotient_log2),
     "tree/frattini-quotient-log2": Claim(
         lambda p: p["k"], "formula", _claim_frattini_quotient_log2
     ),
@@ -267,7 +262,9 @@ CLAIMS = {
         _claim_derived_order_log2,
     ),
     "tree/w-count": Claim(
-        lambda p: 1 << ((1 << (p["k"] - 1)) - 1), "formula", _claim_w_count
+        lambda p: wreath.order_formula(wreath.GroupKind("W", p["k"])),
+        "formula",
+        _claim_w_count,
     ),
     "tree/derived-matches-predicate": Claim(
         lambda p: True, "derived", _claim_derived_match
@@ -469,43 +466,36 @@ def _check_parse_roundtrip(seed):
     return True
 
 
-def _check_group_laws(seed):
+def _samples(seed, arity, draw=random_portrait):
+    """The 100 seeded samples of a check: for each, a depth k in 2..8 from
+    ``rng.randrange(2, 9)``, then a tuple of ``arity`` draws ``draw(rng, k)``."""
     rng = random.Random(seed)
     for _ in range(100):
         k = rng.randrange(2, 9)
-        g = random_portrait(rng, k)
-        h = random_portrait(rng, k)
-        if compose(g, inverse(g)) != identity(k):
-            return False
-        if compose(inverse(g), g) != identity(k):
-            return False
-        if compose(identity(k), h) != h or compose(h, identity(k)) != h:
-            return False
-    return True
+        yield tuple(draw(rng, k) for _ in range(arity))
+
+
+def _check_group_laws(seed):
+    return all(
+        compose(g, inverse(g)) == compose(inverse(g), g) == identity(g.depth)
+        and compose(identity(g.depth), h) == h == compose(h, identity(g.depth))
+        for g, h in _samples(seed, 2)
+    )
 
 
 def _check_associativity(seed):
-    rng = random.Random(seed)
-    for _ in range(100):
-        k = rng.randrange(2, 9)
-        a, b, c = (random_portrait(rng, k) for _ in range(3))
-        if compose(compose(a, b), c) != compose(a, compose(b, c)):
-            return False
-    return True
+    return all(
+        compose(compose(a, b), c) == compose(a, compose(b, c))
+        for a, b, c in _samples(seed, 3)
+    )
 
 
 def _check_leaf_homomorphism(seed):
-    rng = random.Random(seed)
-    for g in wreath.all_portraits(2):
-        for h in wreath.all_portraits(2):
-            if leaf_permutation(compose(g, h)) != leaf_permutation(g) * leaf_permutation(h):
-                return False
-    for _ in range(100):
-        k = rng.randrange(2, 9)
-        g, h = random_portrait(rng, k), random_portrait(rng, k)
-        if leaf_permutation(compose(g, h)) != leaf_permutation(g) * leaf_permutation(h):
-            return False
-    return True
+    pairs = chain(product(wreath.all_portraits(2), repeat=2), _samples(seed, 2))
+    return all(
+        leaf_permutation(compose(g, h)) == leaf_permutation(g) * leaf_permutation(h)
+        for g, h in pairs
+    )
 
 
 def _check_sign_law(seed):
@@ -516,9 +506,7 @@ def _check_single_label_cycle_type(seed):
     for k in range(1, 7):
         for l in range(k):
             for j in range(1 << l):
-                bits = bytearray((1 << k) - 1)
-                bits[(1 << l) - 1 + j] = 1
-                ct = leaf_cycle_type(Portrait(k, bytes(bits)))
+                ct = leaf_permutation(from_vertices(k, [Vertex(l, j + 1)])).cycle_type()
                 want = {2: 1 << (k - l - 1)}
                 fixed = (1 << k) - (1 << (k - l))
                 if fixed:
@@ -533,15 +521,14 @@ def _check_distance_isometry(seed):
     for _ in range(200):
         k = rng.randrange(2, 7)
         level = rng.randrange(1, k)
-        g_bits = bytearray((1 << k) - 1)
-        start = (1 << level) - 1
-        for j in range(1 << level):
-            g_bits[start + j] = rng.getrandbits(1)
-        g = Portrait(k, bytes(g_bits))
-        a_bits = bytearray((1 << k) - 1)
-        for i in range((1 << level) - 1):
-            a_bits[i] = rng.getrandbits(1)
-        a = Portrait(k, bytes(a_bits))
+        # g has labels on one level only, a strictly above it
+        g = from_vertices(k, [
+            Vertex(level, j + 1) for j in range(1 << level) if rng.getrandbits(1)
+        ])
+        a = from_vertices(k, [
+            Vertex(l, j + 1)
+            for l in range(level) for j in range(1 << l) if rng.getrandbits(1)
+        ])
         conj = compose(a, compose(g, inverse(a)))
         if distance(conj) != distance(g):
             return False
@@ -549,16 +536,11 @@ def _check_distance_isometry(seed):
 
 
 def _check_in_g_flat_vs_recursive(seed):
-    rng = random.Random(seed)
-    for g in wreath.all_portraits(3):
-        if wreath.in_G(g) != wreath.in_G_recursive(g):
-            return False
-    for _ in range(100):
-        k = rng.randrange(2, 9)
-        g = random_portrait(rng, k)
-        if wreath.in_G(g) != wreath.in_G_recursive(g):
-            return False
-    return True
+    sampled = (g for (g,) in _samples(seed, 1))
+    return all(
+        wreath.in_G(g) == wreath.in_G_recursive(g)
+        for g in chain(wreath.all_portraits(3), sampled)
+    )
 
 
 def _check_in_g_even_sign(seed):
@@ -577,31 +559,20 @@ def _check_w_census(seed):
     return all(_passes("tree/w-count", kind="G", k=k) for k in (2, 3, 4))
 
 
+def _homomorphic(f, g, h):
+    """Whether f(g*h) = f(g) XOR f(h), for f with values in F_2 vectors."""
+    return f(compose(g, h)) == tuple(a ^ b for a, b in zip(f(g), f(h)))
+
+
 def _check_abelianization(seed):
-    rng = random.Random(seed)
-    for g in wreath.all_portraits(3):
-        for h in (wreath.tau(3), wreath.alpha(3, 1)):
-            lhs = derived.abelianization_B(compose(g, h))
-            rhs = tuple(
-                a ^ b
-                for a, b in zip(
-                    derived.abelianization_B(g), derived.abelianization_B(h)
-                )
-            )
-            if lhs != rhs:
-                return False
-    for _ in range(100):
-        k = rng.randrange(2, 9)
-        g = _random_g_element(rng, k)
-        h = _random_g_element(rng, k)
-        lhs = derived.abelianization_G(compose(g, h))
-        rhs = tuple(
-            a ^ b
-            for a, b in zip(derived.abelianization_G(g), derived.abelianization_G(h))
-        )
-        if lhs != rhs:
-            return False
-    return True
+    return all(
+        _homomorphic(derived.abelianization_B, g, h)
+        for g in wreath.all_portraits(3)
+        for h in (wreath.tau(3), wreath.alpha(3, 1))
+    ) and all(
+        _homomorphic(derived.abelianization_G, g, h)
+        for g, h in _samples(seed, 2, _random_g_element)
+    )
 
 
 def _check_squares(seed):

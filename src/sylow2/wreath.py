@@ -26,6 +26,7 @@ from sylow2.portrait import (
     Portrait,
     Vertex,
     compose,
+    from_vertices,
     identity,
     inverse,
     leaf_permutation,
@@ -53,9 +54,7 @@ def alpha(k: int, l: int) -> Portrait:
     """Single active label at the leftmost vertex of level l."""
     if not 0 <= l <= k - 1:
         raise ValueError(f"level {l} outside 0..{k - 1}")
-    bits = bytearray((1 << k) - 1)
-    bits[(1 << l) - 1] = 1
-    return Portrait(k, bytes(bits))
+    return from_vertices(k, [Vertex(l, 1)])
 
 
 def tau_at(k: int, positions) -> Portrait:
@@ -63,12 +62,12 @@ def tau_at(k: int, positions) -> Portrait:
     if k < 2:
         raise ValueError("depth must be >= 2")
     width = 1 << (k - 1)
-    bits = bytearray((1 << k) - 1)
+    vertices = []
     for pos in positions:
         if not 1 <= pos <= width:
             raise ValueError(f"position {pos} outside 1..{width}")
-        bits[width - 1 + pos - 1] = 1
-    return Portrait(k, bytes(bits))
+        vertices.append(Vertex(k - 1, pos))
+    return from_vertices(k, vertices)
 
 
 def tau(k: int) -> Portrait:
@@ -150,10 +149,8 @@ def split_semidirect(g: Portrait) -> tuple[Portrait, Portrait]:
     """Split g in G as b*w with b carrying the upper labels and w in W."""
     if not in_G(g):
         raise ValueError("element is not in G")
-    width = 1 << (g.depth - 1)
-    bits = bytearray(g.bits)
-    bits[width - 1 :] = bytes(width)
-    b = Portrait(g.depth, bytes(bits))
+    last = g.depth - 1
+    b = from_vertices(g.depth, [v for v in g.active_vertices() if v.level < last])
     w = compose(inverse(b), g)
     return b, w
 
@@ -198,14 +195,10 @@ def _diagonal_candidates(kind: str, k: int):
     else:
         raise ValueError(f"diagonal bases exist for kinds B and G, not {kind!r}")
     for masks in product(*level_choices):
-        gens = []
-        for l, mask in enumerate(masks):
-            bits = bytearray((1 << k) - 1)
-            start = (1 << l) - 1
-            for j, m in enumerate(mask):
-                bits[start + j] = m
-            gens.append(Portrait(k, bytes(bits)))
-        yield gens
+        yield [
+            from_vertices(k, [Vertex(l, j + 1) for j, m in enumerate(mask) if m])
+            for l, mask in enumerate(masks)
+        ]
 
 
 def enumerate_diagonal_bases(kind: str, k: int) -> list[list[Portrait]]:

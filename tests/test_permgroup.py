@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from conftest import bruteforce_closure
-from sylow2 import permgroup, wreath
+from sylow2 import cli, composite, derived, permgroup, verify, wreath
 from sylow2.composite import build_gens_A, build_gens_S, order_syl2_S
 from sylow2.kernels import inv_perm, mult_perm
 from sylow2.permgroup import (
@@ -461,3 +461,15 @@ def test_oracle_imports_only_stdlib_and_kernels():
         for name in names:
             top = name.split(".")[0]
             assert name == "sylow2.kernels" or top in sys.stdlib_module_names, name
+
+
+def test_label_layout_stays_in_portrait_and_kernels():
+    # outside portrait and kernels, label patterns are built with
+    # portrait.from_vertices and read through Portrait methods, so no other
+    # module spells out the heap layout of the label table
+    for module in (wreath, composite, derived, verify, cli):
+        for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                assert node.func.id != "bytearray", (module.__name__, node.lineno)
+            elif isinstance(node, ast.Attribute):
+                assert node.attr != "bits", (module.__name__, node.lineno)

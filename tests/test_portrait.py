@@ -16,9 +16,9 @@ from sylow2.portrait import (
     compose,
     distance,
     format_portrait,
+    from_vertices,
     identity,
     inverse,
-    leaf_cycle_type,
     leaf_permutation,
     level_index,
     parse_portrait,
@@ -39,6 +39,27 @@ def test_identity_is_all_zero():
 def test_depth_zero_rejected():
     with pytest.raises(ValueError):
         identity(0)
+    with pytest.raises(ValueError, match="depth must be >= 1"):
+        from_vertices(0, [])
+
+
+def test_from_vertices_inverts_active_vertices():
+    for k in range(1, 4):
+        for g in all_portraits(k):
+            assert from_vertices(k, g.active_vertices()) == g
+    rng = random.Random(31)
+    for _ in range(50):
+        g = random_portrait(rng, 8)
+        assert from_vertices(8, g.active_vertices()) == g
+
+
+def test_from_vertices_examples():
+    v = Vertex(2, 3)
+    assert format_portrait(from_vertices(3, [v])) == "0/00/0010"
+    assert from_vertices(3, [v, v]) == from_vertices(3, [v])  # counted once
+    assert from_vertices(3, []) == identity(3)
+    with pytest.raises(ValueError, match="level 3 outside depth-3 portrait"):
+        from_vertices(3, [Vertex(0, 1), Vertex(3, 1)])
 
 
 def test_parse_format_examples():
@@ -201,7 +222,7 @@ def test_single_label_cycle_type_exhaustive():
             for j in range(1 << l):
                 bits = bytearray((1 << k) - 1)
                 bits[(1 << l) - 1 + j] = 1
-                ct = leaf_cycle_type(Portrait(k, bytes(bits)))
+                ct = leaf_permutation(Portrait(k, bytes(bits))).cycle_type()
                 assert ct[2] == 1 << (k - l - 1)
                 assert ct[1] == (1 << k) - (1 << (k - l))
                 assert sum(length * mult for length, mult in ct.items()) == 1 << k

@@ -1,3 +1,4 @@
+import random
 import time
 from collections import Counter
 from dataclasses import asdict
@@ -6,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from sylow2 import verify
+from sylow2.portrait import Portrait, level_index, random_portrait
 
 
 def test_every_planned_claim_is_registered():
@@ -187,3 +189,27 @@ def test_fixtures_cover_every_claim():
         for record in verify.read_report(path)["claims"]
     }
     assert len(covered) == 14
+
+
+def test_samples_repeat_the_inline_draw_loop():
+    # randrange(2, 9) for the depth, then the draws, as the checks drew
+    # before they shared one sampler
+    rng = random.Random(42)
+    want = []
+    for _ in range(100):
+        k = rng.randrange(2, 9)
+        want.append((random_portrait(rng, k), random_portrait(rng, k)))
+    assert list(verify._samples(42, 2)) == want
+
+
+def test_random_g_element_flips_the_bottom_left_label():
+    ours, flipped = random.Random(7), random.Random(7)
+    for i in range(200):
+        k = 2 + i % 7
+        g = random_portrait(flipped, k)
+        if level_index(g, k - 1) % 2:
+            bits = bytearray(g.bits)
+            bits[(1 << (k - 1)) - 1] ^= 1
+            g = Portrait(k, bytes(bits))
+        assert verify._random_g_element(ours, k) == g
+    assert ours.random() == flipped.random()  # no extra draw

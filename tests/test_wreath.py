@@ -34,7 +34,7 @@ def test_alpha_examples():
     assert format_cycles(leaf_permutation(alpha(3, 1))) == "(1,3)(2,4)"
     assert format_portrait(alpha(3, 2)) == "0/00/1000"
     assert format_cycles(leaf_permutation(alpha(3, 2))) == "(1,2)"
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^level 3 outside 0\.\.2$"):
         alpha(3, 3)
 
 
@@ -44,7 +44,7 @@ def test_tau_examples():
     assert format_portrait(tau_at(3, {1, 2})) == "0/00/1100"
     assert format_cycles(leaf_permutation(tau_at(3, {1, 2}))) == "(1,2)(3,4)"
     assert tau_at(3, set()) == identity(3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^position 5 outside 1\.\.4$"):
         tau_at(3, {5})
 
 
