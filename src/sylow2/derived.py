@@ -1,10 +1,10 @@
 """Commutator and Frattini membership by level parities.
 
-The commutator subgroup of the full wreath power B is cut out by "every
-level has an even label count"; for the even subgroup G the bottom level
-additionally splits into two halves that must each be even.  Reducing the
-level counts mod 2 gives the abelianization onto k copies of C2, which is
-also what makes the Frattini quotient elementary abelian of rank k.
+Reducing the level label counts mod 2 gives the abelianization of the full
+wreath power B onto k copies of C2; on the even subgroup G the bottom
+coordinate is counted on the first half of the last level instead.  Derived
+membership is the kernel of these maps, and so is Frattini membership in G,
+whose Frattini quotient is therefore elementary abelian of rank k.
 
 All predicates here are pure label arithmetic; the oracle-side suites in
 the tests rebuild the same subgroups from generator squares and commutators
@@ -16,27 +16,7 @@ from __future__ import annotations
 import random
 
 from sylow2.portrait import DEFAULT_SEED, Portrait, compose, level_index, random_portrait
-from sylow2.wreath import all_portraits, in_G
-
-
-def in_derived_B(g: Portrait) -> bool:
-    """Even label count on every level."""
-    return all(level_index(g, l) % 2 == 0 for l in range(g.depth))
-
-
-def in_derived_G(g: Portrait) -> bool:
-    """Even count on levels above the last, even count in each bottom half.
-
-    The root level is included in the evenness requirement; at depth >= 2
-    a single root label already fails.
-    """
-    if g.depth < 2:
-        raise ValueError("the G criterion needs depth >= 2")
-    if any(level_index(g, l) % 2 for l in range(g.depth - 1)):
-        return False
-    last = g.level_bits(g.depth - 1)
-    half = len(last) // 2
-    return sum(last[:half]) % 2 == 0 and sum(last[half:]) % 2 == 0
+from sylow2.wreath import all_portraits, bottom_halves, in_G
 
 
 def abelianization_B(g: Portrait) -> tuple[int, ...]:
@@ -52,10 +32,24 @@ def abelianization_G(g: Portrait) -> tuple[int, ...]:
     """
     if not in_G(g):
         raise ValueError("element is not in G")
-    k = g.depth
-    upper = tuple(level_index(g, l) % 2 for l in range(k - 1))
-    last = g.level_bits(k - 1)
-    return upper + (sum(last[: len(last) // 2]) % 2,)
+    return abelianization_B(g)[:-1] + (bottom_halves(g)[0] % 2,)
+
+
+def in_derived_B(g: Portrait) -> bool:
+    """Kernel of abelianization_B: even label count on every level."""
+    return not any(abelianization_B(g))
+
+
+def in_derived_G(g: Portrait) -> bool:
+    """Kernel of abelianization_G: even count on levels above the last, even
+    count in each bottom half; False outside G.
+
+    The root level is included in the evenness requirement; at depth >= 2
+    a single root label already fails.
+    """
+    if g.depth < 2:
+        raise ValueError("the G criterion needs depth >= 2")
+    return in_G(g) and not any(abelianization_G(g))
 
 
 def format_parity_vector(v) -> str:
@@ -64,11 +58,10 @@ def format_parity_vector(v) -> str:
 
 
 def in_frattini_G(g: Portrait) -> bool:
-    """Frattini membership for G, which coincides with the derived
-    criterion (squares generate nothing beyond the commutators here)."""
-    if not in_G(g):
-        raise ValueError("element is not in G")
-    return in_derived_G(g)
+    """Frattini membership for G, the kernel of abelianization_G: it
+    coincides with the derived subgroup (squares generate nothing beyond
+    the commutators here)."""
+    return not any(abelianization_G(g))
 
 
 def squares_in_derived_check(k: int, samples: int = 10_000,

@@ -13,8 +13,8 @@ level's (j+1)-th vertex counted left to right.
 The labels are stored in heap order (level l starts at index 2**l - 1).
 That layout is private to this module and ``sylow2.kernels``: everyone
 else builds a label pattern with ``from_vertices``, the inverse of
-``Portrait.active_vertices``, and reads labels through ``label``,
-``level_bits`` and ``level_index``.
+``Portrait.active_vertices``, and reads labels through ``level_bits``
+and ``level_index``.
 
 Leaves are numbered 1 + sum(b_i * 2**(k-i)) from the path bits b_1..b_k, so
 the leftmost leaf is 1 and a root label alone swaps the front and back
@@ -78,11 +78,6 @@ class Portrait:
             )
         if self.bits.translate(None, b"\0\1"):  # any byte other than 0 and 1
             raise ValueError("labels must be 0 or 1")
-
-    def label(self, v: Vertex) -> int:
-        if v.level >= self.depth:
-            raise ValueError(f"level {v.level} outside depth-{self.depth} portrait")
-        return self.bits[(1 << v.level) - 1 + v.position - 1]
 
     def level_bits(self, l: int) -> tuple[int, ...]:
         if not 0 <= l < self.depth:

@@ -110,17 +110,19 @@ def _in_G_rec(g: Portrait) -> bool:
     return _in_G_rec(prod)
 
 
+def _upper_empty(g: Portrait) -> bool:
+    return not any(level_index(g, l) for l in range(g.depth - 1))
+
+
 def in_W(g: Portrait) -> bool:
     """Labels only on the last level, an even number of them."""
     if g.depth < 2:
         raise ValueError("W needs depth >= 2")
-    last = g.depth - 1
-    if any(level_index(g, l) for l in range(last)):
-        return False
-    return level_index(g, last) % 2 == 0
+    return _upper_empty(g) and in_G(g)
 
 
-def _half_counts(g: Portrait) -> tuple[int, int]:
+def bottom_halves(g: Portrait) -> tuple[int, int]:
+    """Label counts of the left and right halves of the last level."""
     last = g.level_bits(g.depth - 1)
     half = len(last) // 2
     return sum(last[:half]), sum(last[half:])
@@ -130,18 +132,14 @@ def is_type_T(g: Portrait) -> bool:
     """Last-level-only element with an odd label count in each half."""
     if g.depth < 2:
         raise ValueError("type T needs depth >= 2")
-    last = g.depth - 1
-    if any(level_index(g, l) for l in range(last)):
-        return False
-    m1, m2 = _half_counts(g)
-    return m1 % 2 == 1 and m2 % 2 == 1
+    return _upper_empty(g) and is_type_C(g)
 
 
 def is_type_C(g: Portrait) -> bool:
     """Odd label count in each half of the last level; upper levels free."""
     if g.depth < 2:
         raise ValueError("type C needs depth >= 2")
-    m1, m2 = _half_counts(g)
+    m1, m2 = bottom_halves(g)
     return m1 % 2 == 1 and m2 % 2 == 1
 
 
@@ -186,14 +184,16 @@ def _type_t_patterns(width):
             yield left + right
 
 
-def _diagonal_candidates(kind: str, k: int):
-    if kind == "B":
-        level_choices = [list(_odd_weight_patterns(1 << l)) for l in range(k)]
-    elif kind == "G":
-        level_choices = [list(_odd_weight_patterns(1 << l)) for l in range(k - 1)]
-        level_choices.append(list(_type_t_patterns(1 << (k - 1))))
-    else:
+def _check_diagonal_kind(kind: str):
+    if kind not in ("B", "G"):
         raise ValueError(f"diagonal bases exist for kinds B and G, not {kind!r}")
+
+
+def _diagonal_candidates(kind: str, k: int):
+    _check_diagonal_kind(kind)
+    level_choices = [list(_odd_weight_patterns(1 << l)) for l in range(k)]
+    if kind == "G":
+        level_choices[-1] = list(_type_t_patterns(1 << (k - 1)))
     for masks in product(*level_choices):
         yield [
             from_vertices(k, [Vertex(l, j + 1) for j, m in enumerate(mask) if m])
@@ -209,8 +209,6 @@ def enumerate_diagonal_bases(kind: str, k: int) -> list[list[Portrait]]:
     """
     if k > 4:
         raise ValueError("diagonal enumeration is capped at depth 4")
-    if kind == "G" and k < 2:
-        raise ValueError("kind G needs depth >= 2")
     target = order_formula(GroupKind(kind, k))
     out = []
     for gens in _diagonal_candidates(kind, k):
@@ -222,20 +220,13 @@ def enumerate_diagonal_bases(kind: str, k: int) -> list[list[Portrait]]:
 def count_diagonal_bases(kind: str, k: int) -> int:
     """Closed-form diagonal-base count.
 
-    For kind B this is 2**(2**k - k - 1).  For kind G the returned form
-    2**(2**k - k - 2) is the one validated by exhaustive enumeration at
-    depths 2..4 (every candidate with odd-count upper levels and a type-T
-    bottom generator does generate).
+    The group order over 2**k: for kind B this is 2**(2**k - k - 1).  For
+    kind G the returned form 2**(2**k - k - 2) is the one validated by
+    exhaustive enumeration at depths 2..4 (every candidate with odd-count
+    upper levels and a type-T bottom generator does generate).
     """
-    if kind == "B":
-        if k < 1:
-            raise ValueError("kind B needs depth >= 1")
-        return 1 << ((1 << k) - k - 1)
-    if kind == "G":
-        if k < 2:
-            raise ValueError("kind G needs depth >= 2")
-        return 1 << ((1 << k) - k - 2)
-    raise ValueError(f"diagonal bases exist for kinds B and G, not {kind!r}")
+    _check_diagonal_kind(kind)
+    return order_formula(GroupKind(kind, k)) >> k
 
 
 def all_portraits(k: int):

@@ -13,7 +13,14 @@ from sylow2.derived import (
     squares_in_derived_check,
 )
 from sylow2.permgroup import derived_subgroup, frattini_of_2group
-from sylow2.portrait import Portrait, compose, identity, leaf_permutation, parse_portrait
+from sylow2.portrait import (
+    Portrait,
+    compose,
+    format_portrait,
+    identity,
+    leaf_permutation,
+    parse_portrait,
+)
 from sylow2.wreath import all_portraits, alpha, gen_set_B, gen_set_G, in_G, leaf_group, tau
 
 
@@ -38,6 +45,17 @@ def test_in_derived_G_examples():
     assert in_derived_G(identity(3))
     assert not in_derived_G(tau(3))
     assert not in_derived_G(tau(4))
+
+
+def test_in_derived_G_matches_text_reference():
+    # reference from the printed levels: the levels above the last and each
+    # half of the last have an even number of 1s; outside G this is False
+    for k in (2, 3, 4):
+        for g in all_portraits(k):
+            *upper, last = format_portrait(g).split("/")
+            half = len(last) // 2
+            parts = upper + [last[:half], last[half:]]
+            assert in_derived_G(g) == all(p.count("1") % 2 == 0 for p in parts)
 
 
 def test_derived_B_matches_oracle_elementwise():
@@ -147,6 +165,20 @@ def test_abelianization_G_kernel_is_derived():
         if not in_G(g):
             continue
         assert (abelianization_G(g) == (0, 0, 0)) == in_derived_G(g)
+
+
+def test_error_texts_at_depth_1_and_outside_G():
+    cases = [
+        (in_derived_G, "1", "the G criterion needs depth >= 2"),
+        (abelianization_G, "1", "G is undefined at depth 1"),
+        (in_frattini_G, "1", "G is undefined at depth 1"),
+        (abelianization_G, "0/00/1000", "element is not in G"),
+        (in_frattini_G, "0/00/1000", "element is not in G"),
+    ]
+    for predicate, text, message in cases:
+        with pytest.raises(ValueError) as info:
+            predicate(parse_portrait(text))
+        assert str(info.value) == message
 
 
 # -- Frattini -------------------------------------------------------------------

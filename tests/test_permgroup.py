@@ -473,3 +473,28 @@ def test_label_layout_stays_in_portrait_and_kernels():
                 assert node.func.id != "bytearray", (module.__name__, node.lineno)
             elif isinstance(node, ast.Attribute):
                 assert node.attr != "bits", (module.__name__, node.lineno)
+
+
+def test_bottom_half_split_stays_in_bottom_halves():
+    # outside portrait, only wreath.bottom_halves reads a level label by
+    # label; every other parity rule counts through level_index or it
+    for path in sorted(Path(wreath.__file__).parent.glob("*.py")):
+        if path.name == "portrait.py":
+            continue
+        tree = ast.parse(path.read_text())
+        allowed = {
+            id(inner)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef)
+            and (path.name, node.name) == ("wreath.py", "bottom_halves")
+            for inner in ast.walk(node)
+        }
+        calls = [
+            node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "level_bits"
+            and id(node) not in allowed
+        ]
+        assert not calls, (path.name, calls)

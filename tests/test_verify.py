@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from sylow2 import verify
+from sylow2 import cli, verify
 from sylow2.portrait import Portrait, level_index, random_portrait
 
 
@@ -213,3 +213,32 @@ def test_random_g_element_flips_the_bottom_left_label():
             g = Portrait(k, bytes(bits))
         assert verify._random_g_element(ours, k) == g
     assert ours.random() == flipped.random()  # no extra draw
+
+
+def test_selftest_reports_a_raising_check_as_fail(monkeypatch, capsys):
+    def raising(exc):
+        def check(seed):
+            raise exc
+        return check
+
+    checks = list(verify.SELFTEST_CHECKS)
+    broken = {
+        3: ValueError("element is not in G"),
+        11: IndexError("bytearray index out of range"),
+    }
+    for i, exc in broken.items():
+        checks[i] = (checks[i][0], raising(exc))
+    monkeypatch.setattr(verify, "SELFTEST_CHECKS", checks)
+    lines = []
+    assert verify.run_selftest(out=lines.append) is False
+    assert len(lines) == 17
+    for i, (name, _) in enumerate(checks):
+        if i in broken:
+            exc = broken[i]
+            assert lines[i] == f"FAIL {name} ({type(exc).__name__}: {exc})"
+        else:
+            assert lines[i] == f"ok   {name}"
+    assert cli.main(["selftest"]) == 1
+    out, err = capsys.readouterr()
+    assert out.splitlines() == lines
+    assert err == ""

@@ -280,3 +280,27 @@ def test_diagonal_bases_depth4():
 def test_diagonal_enumeration_capped():
     with pytest.raises(ValueError):
         enumerate_diagonal_bases("B", 5)
+
+
+def test_diagonal_base_counts_closed_forms():
+    for k in range(1, 13):
+        assert count_diagonal_bases("B", k) == 2 ** (2**k - k - 1)
+    for k in range(2, 13):
+        assert count_diagonal_bases("G", k) == 2 ** (2**k - k - 2)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: count_diagonal_bases("W", 3),
+     "diagonal bases exist for kinds B and G, not 'W'"),
+    (lambda: count_diagonal_bases("B", 0), "kind B needs depth >= 1"),
+    (lambda: count_diagonal_bases("G", 1), "kind G needs depth >= 2"),
+    (lambda: enumerate_diagonal_bases("G", 1), "kind G needs depth >= 2"),
+    (lambda: enumerate_diagonal_bases("B", 5), "diagonal enumeration is capped at depth 4"),
+    (lambda: in_W(identity(1)), "W needs depth >= 2"),
+    (lambda: is_type_T(identity(1)), "type T needs depth >= 2"),
+    (lambda: is_type_C(identity(1)), "type C needs depth >= 2"),
+])
+def test_error_texts(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
