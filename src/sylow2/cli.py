@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: ``order``, ``rank``, ``gens``, ``member``, ``calc``,
-``verify`` and ``selftest``.  Exit codes: 0 on success, 1 when a
-verification or self-test claim fails, 2 on usage or parse errors.
+``verify`` and ``selftest``; ``--version`` prints the package version.
+Exit codes: 0 on success, 1 when a verification or self-test claim fails,
+2 on usage or parse errors.
 
 Randomized suites take an explicit ``--seed``; the default (1729) is fixed,
 so every command is deterministic given its arguments.
@@ -11,9 +12,10 @@ so every command is deterministic given its arguments.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
-from sylow2 import composite, derived, verify, wreath
+from sylow2 import __version__, composite, derived, verify, wreath
 from sylow2.permgroup import format_cycles
 from sylow2.portrait import (
     compose,
@@ -128,12 +130,16 @@ def _cmd_selftest(args):
     return 0 if verify.run_selftest(args.seed) else 1
 
 
+@functools.cache  # one parser per process; parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sylow2",
         description="Sylow 2-subgroups of symmetric and alternating groups, "
         "computed from binary rooted-tree portraits and checked against a "
         "permutation-group oracle.",
+    )
+    parser.add_argument(
+        "--version", action="version", version=f"%(prog)s {__version__}"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

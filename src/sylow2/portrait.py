@@ -221,6 +221,11 @@ def distance(g: Portrait) -> int:
     return best
 
 
+_NON_BITS = str.maketrans("", "", "01")  # deletes "0" and "1", keeps the rest
+_TEXT_TO_LABELS = bytes.maketrans(b"01", b"\0\1")
+_LABELS_TO_TEXT = bytes.maketrans(b"\0\1", b"01")
+
+
 def parse_portrait(text: str) -> Portrait:
     """Parse the "b/bb/bbbb" level format; inverse of format_portrait."""
     if not text:
@@ -231,12 +236,12 @@ def parse_portrait(text: str) -> Portrait:
             raise ValueError(
                 f"level {l} must have {1 << l} bits, got {len(level)!r}"
             )
-        if set(level) - {"0", "1"}:
+        if level.translate(_NON_BITS):  # checked before anything is encoded
             raise ValueError(f"invalid characters in level {level!r}")
-    return Portrait(len(levels), bytes(int(c) for level in levels for c in level))
+    labels = "".join(levels).encode().translate(_TEXT_TO_LABELS)
+    return Portrait(len(levels), labels)
 
 
 def format_portrait(g: Portrait) -> str:
-    return "/".join(
-        "".join(str(b) for b in g.level_bits(l)) for l in range(g.depth)
-    )
+    text = g.bits.translate(_LABELS_TO_TEXT).decode()
+    return "/".join([text[(1 << l) - 1 : (2 << l) - 1] for l in range(g.depth)])

@@ -1,13 +1,20 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import sylow2
 from sylow2 import verify
-from sylow2.cli import main
+from sylow2.cli import build_parser, main
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse usage errors and --version
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -234,3 +241,37 @@ def test_selftest_names_violated_invariant(capsys, monkeypatch):
     failures = [line for line in out.splitlines() if line.startswith("FAIL")]
     assert failures
     assert "portrait/leaf-homomorphism" in "\n".join(failures)
+
+
+# -- process-wide parser and --version ---------------------------------------------
+
+def run_alone(*argv):
+    """``python -m sylow2 argv`` in a fresh interpreter."""
+    src = os.path.dirname(os.path.dirname(sylow2.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "sylow2", *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_parser_built_once_and_reused_cleanly(capsys):
+    assert build_parser() is build_parser()
+    sequence = [
+        ("calc", "mul", "1/00", "0/10"),
+        ("order", "X", "8"),  # argparse usage error
+        ("member", "frattini-G", "0/00/1000"),  # not in G
+        ("order", "A", "8"),
+    ]
+    alone = [run_alone(*argv) for argv in sequence]
+    assert [code for code, _, _ in alone] == [0, 2, 2, 0]
+    assert [run(capsys, *argv) for argv in sequence] == alone
+
+
+def test_version(capsys):
+    expected = f"sylow2 {sylow2.__version__}\n"
+    assert run(capsys, "--version") == (0, expected, "")
+    assert run_alone("--version") == (0, expected, "")

@@ -67,10 +67,45 @@ def test_parse_format_examples():
     assert format_portrait(tau(3)) == "0/00/1001"
 
 
-@pytest.mark.parametrize("text", ["", "1/0", "2/00", "0/00/10", "1//00"])
+_PARSE_ERRORS = {
+    "": "empty portrait text",
+    "1/0": "level 1 must have 2 bits, got 1",
+    "2/00": "invalid characters in level '2'",
+    "0/00/10": "level 2 must have 4 bits, got 2",
+    "1//00": "level 1 must have 2 bits, got 0",
+    # int() reads these as digits, and .encode() chokes on the lone
+    # surrogate: all must fail the character check before any encoding
+    "\u0661": "invalid characters in level '\u0661'",
+    "\uff11": "invalid characters in level '\uff11'",
+    "0/1 ": "invalid characters in level '1 '",
+    "0/\ud8000": "invalid characters in level '\\ud8000'",  # repr escapes it
+}
+
+
+@pytest.mark.parametrize("text", list(_PARSE_ERRORS))
 def test_parse_rejects_malformed(text):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as exc:
         parse_portrait(text)
+    assert exc.type is ValueError  # not a UnicodeError
+    assert str(exc.value) == _PARSE_ERRORS[text]
+
+
+def _format_per_label(g):
+    """Reference text form, one str() per label."""
+    return "/".join(
+        "".join(str(b) for b in g.level_bits(l)) for l in range(g.depth)
+    )
+
+
+def test_codec_matches_per_label_reference():
+    rng = random.Random(4099)
+    samples = [g for k in range(1, 5) for g in all_portraits(k)]
+    samples += [random_portrait(rng, k) for k in range(1, 13) for _ in range(20)]
+    for g in samples:
+        text = _format_per_label(g)
+        assert format_portrait(g) == text
+        back = parse_portrait(text)
+        assert back.depth == g.depth and back.bits == g.bits
 
 
 @given(st.integers(1, 6).flatmap(lambda k: portraits(k)))
