@@ -37,22 +37,12 @@ _MEMBER_PREDICATES = {
 
 
 def _cmd_order(args):
-    exponent = (
-        composite.order_log2_syl2_A(args.n)
-        if args.kind == "A"
-        else composite.order_log2_syl2_S(args.n)
-    )
-    print(f"2^{exponent}")
+    print(f"2^{composite.order_log2_syl2(args.kind, args.n)}")
     return 0
 
 
 def _cmd_rank(args):
-    rank = (
-        composite.rank_syl2_A(args.n)
-        if args.kind == "A"
-        else composite.rank_syl2_S(args.n)
-    )
-    print(rank)
+    print(composite.rank_syl2(args.kind, args.n))
     return 0
 
 
@@ -63,12 +53,7 @@ def _format_tuple(element):
 
 
 def _cmd_gens(args):
-    tuples = (
-        composite.build_tuples_A(args.n)
-        if args.kind == "A"
-        else composite.build_tuples_S(args.n)
-    )
-    for element in tuples:
+    for element in composite.build_tuples(args.kind, args.n):
         if args.format == "cycles":
             print(format_cycles(composite.embed(element)))
         else:

@@ -250,6 +250,31 @@ def build_gens_A(n: int) -> list[Permutation]:
     return [embed(t) for t in build_tuples_A(n)]
 
 
+# One entry point per job for a kind given as "A" or "S".  The _A and _S
+# functions are named when called, so a replaced module attribute is used.
+
+def _by_kind(kind: str, for_A, for_S):
+    if kind not in ("A", "S"):
+        raise ValueError(f"kind must be A or S, not {kind!r}")
+    return for_A if kind == "A" else for_S
+
+
+def order_log2_syl2(kind: str, n: int) -> int:
+    return _by_kind(kind, order_log2_syl2_A, order_log2_syl2_S)(n)
+
+
+def rank_syl2(kind: str, n: int) -> int:
+    return _by_kind(kind, rank_syl2_A, rank_syl2_S)(n)
+
+
+def build_tuples(kind: str, n: int) -> list[SubdirectElement]:
+    return _by_kind(kind, build_tuples_A, build_tuples_S)(n)
+
+
+def build_gens(kind: str, n: int) -> list[Permutation]:
+    return _by_kind(kind, build_gens_A, build_gens_S)(n)
+
+
 def iso_4k2(sigma: Permutation) -> Permutation:
     """Extend a permutation of 1..4k to 4k+2 points, appending the swap of
     the two new points exactly when sigma is odd.  The result is always
@@ -311,16 +336,9 @@ def verification_record(
     """Oracle-vs-formula record for one n, in the stable report schema; the
     oracle values are those the verify claims computed, so no chain is
     built here."""
-    if kind not in ("A", "S"):
-        raise ValueError(f"kind must be A or S, not {kind!r}")
-    if kind == "A":
-        expected_order_log2 = order_log2_syl2_A(n)
-        expected_rank = rank_syl2_A(n)
-        gens = build_gens_A(n)
-    else:
-        expected_order_log2 = order_log2_syl2_S(n)
-        expected_rank = rank_syl2_S(n)
-        gens = build_gens_S(n)
+    expected_order_log2 = order_log2_syl2(kind, n)
+    expected_rank = rank_syl2(kind, n)
+    gens = build_gens(kind, n)
     all_even = all(g.sign() == 1 for g in gens)
     fixed = sorted(
         p + 1 for p in range(n) if all(g.apply(p) == p for g in gens)

@@ -17,69 +17,63 @@ Data conventions:
 * Products use the left-action convention throughout: ``mult_perm(p, q)``
   applies ``q`` first, then ``p``, and ``compose_labels(k, g, h)`` is the
   label table of the automorphism "h then g".
+
+The three label kernels share one walk, ``_level_images``, which expands
+the images of the vertices one level at a time from the labels above them.
+``compose_labels`` and ``invert_labels`` read its levels ``0..k-1`` to
+move labels to or from image positions, and ``leaf_images`` returns its
+level ``k``.
 """
+
+
+def _level_images(k, labels):
+    """Images of the vertices under the automorphism, levels 0..k.
+
+    List ``l`` holds the 0-based positions that the ``2**l`` vertices of
+    level ``l`` go to, so list ``k`` is the action on the leaves.  When a
+    vertex goes to position ``p`` and carries label ``b``, its left and
+    right children go to positions ``2p + b`` and ``2p + (1 - b)``.
+    """
+    img = [0]
+    levels = [img]
+    i = 0  # heap index of the label being read
+    for l in range(k):
+        nxt = [0] * (2 << l)
+        j = 0
+        for p in img:
+            t = 2 * p + labels[i]
+            nxt[j] = t
+            nxt[j + 1] = t ^ 1
+            j += 2
+            i += 1
+        levels.append(nxt)
+        img = nxt
+    return levels
 
 
 def compose_labels(k, g, h):
     """Label table of the product g.h (h applied first)."""
     out = bytearray(len(h))
-    img = [0]  # images of this level's vertices under h, 0-based positions
-    base = 0
-    for l in range(k):
-        width = 1 << l
-        for j in range(width):
-            out[base + j] = h[base + j] ^ g[base + img[j]]
-        if l + 1 < k:
-            nxt = [0] * (2 * width)
-            for j in range(width):
-                hb = h[base + j]
-                t = 2 * img[j]
-                nxt[2 * j] = t + hb
-                nxt[2 * j + 1] = t + (1 ^ hb)
-            img = nxt
-        base += width
+    for img in _level_images(k - 1, h):  # images under h of levels 0..k-1
+        base = len(img) - 1  # heap index of the level's first vertex
+        for i, p in enumerate(img, base):
+            out[i] = h[i] ^ g[base + p]
     return bytes(out)
 
 
 def invert_labels(k, g):
     """Label table of the inverse automorphism."""
     out = bytearray(len(g))
-    img = [0]
-    base = 0
-    for l in range(k):
-        width = 1 << l
-        inv = [0] * width
-        for j in range(width):
-            inv[img[j]] = j
-        for j in range(width):
-            out[base + j] = g[base + inv[j]]
-        if l + 1 < k:
-            nxt = [0] * (2 * width)
-            for j in range(width):
-                gb = g[base + j]
-                t = 2 * img[j]
-                nxt[2 * j] = t + gb
-                nxt[2 * j + 1] = t + (1 ^ gb)
-            img = nxt
-        base += width
+    for img in _level_images(k - 1, g):
+        base = len(img) - 1
+        for i, p in enumerate(img, base):
+            out[base + p] = g[i]
     return bytes(out)
 
 
 def leaf_images(k, g):
     """Action on the 2**k leaves as a tuple of 0-based images."""
-    img = [0]
-    base = 0
-    for l in range(k):
-        width = 1 << l
-        nxt = [0] * (2 * width)
-        for j in range(width):
-            gb = g[base + j]
-            t = 2 * img[j]
-            nxt[2 * j] = t + gb
-            nxt[2 * j + 1] = t + (1 ^ gb)
-        img = nxt
-        base += width
-    return tuple(img)
+    return tuple(_level_images(k, g)[k])
 
 
 def mult_perm(p, q):

@@ -116,8 +116,8 @@ def parse_cycles(text: str, degree: int) -> Permutation:
     """Parse disjoint-cycle notation on points 1..degree.
 
     "e", "()" and the empty product all denote the identity.  Raises
-    ValueError on repeated points, points outside 1..degree, or malformed
-    parentheses.
+    ValueError on repeated points, points outside 1..degree, a point not
+    written in the ASCII digits 0-9, or malformed parentheses.
     """
     stripped = text.replace(" ", "")
     if stripped in ("e", "()", ""):
@@ -129,7 +129,11 @@ def parse_cycles(text: str, degree: int) -> Permutation:
     for part in stripped[1:-1].split(")("):
         if "(" in part or ")" in part:
             raise ValueError(f"malformed parentheses in {text!r}")
-        points = [int(tok) for tok in part.split(",")] if part else []
+        tokens = part.split(",") if part else []
+        for tok in tokens:
+            if not (tok.isascii() and tok.isdigit()):  # int() takes "+1", "1_0"
+                raise ValueError(f"invalid point {tok!r} in {text!r}")
+        points = [int(tok) for tok in tokens]
         if len(points) < 2:
             raise ValueError(f"cycle too short in {text!r}")
         for pt in points:

@@ -95,8 +95,7 @@ def _log2(order):
 # --------------------------------------------------------------------------
 
 def _composite_gens(params):
-    n, kind = params["n"], params["kind"]
-    return composite.build_gens_A(n) if kind == "A" else composite.build_gens_S(n)
+    return composite.build_gens(params["kind"], params["n"])
 
 
 def _tree_gens(params):
@@ -134,10 +133,7 @@ def _derived(params, run):
 
 
 def _expected_order_log2(params):
-    n, kind = params["n"], params["kind"]
-    if kind == "A":
-        return composite.order_log2_syl2_A(n)
-    return composite.order_log2_syl2_S(n)
+    return composite.order_log2_syl2(params["kind"], params["n"])
 
 
 def _expected_tree_order_log2(params):
@@ -237,8 +233,7 @@ CLAIMS = {
         _expected_order_log2, "formula", _claim_legendre
     ),
     "composite/rank": Claim(
-        lambda p: composite.rank_syl2_A(p["n"]) if p["kind"] == "A"
-        else composite.rank_syl2_S(p["n"]),
+        lambda p: composite.rank_syl2(p["kind"], p["n"]),
         "formula",
         _claim_frattini_quotient_log2,
     ),

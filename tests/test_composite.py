@@ -138,6 +138,24 @@ def test_embedding_matches_gens():
         ]
 
 
+def test_kind_dispatch_matches_the_A_and_S_functions(monkeypatch):
+    for n in range(1, 41):
+        for kind, by_name in (("A", "_A"), ("S", "_S")):
+            for job in ("order_log2_syl2", "rank_syl2", "build_tuples", "build_gens"):
+                direct = getattr(composite, job + by_name)(n)
+                assert getattr(composite, job)(kind, n) == direct
+    for kind in ("B", "a", ""):
+        for job in (composite.order_log2_syl2, composite.rank_syl2,
+                    composite.build_tuples, composite.build_gens):
+            with pytest.raises(ValueError, match=f"^kind must be A or S, not {kind!r}$"):
+                job(kind, 8)
+        with pytest.raises(ValueError, match=f"^kind must be A or S, not {kind!r}$"):
+            verification_record(8, kind, 6, 3)
+    # the _S function is looked up when called, so a replacement is used
+    monkeypatch.setattr(composite, "rank_syl2_S", lambda n: -1)
+    assert composite.rank_syl2("S", 12) == -1
+
+
 # -- congruence -----------------------------------------------------------------
 
 def test_check_congruence_examples():

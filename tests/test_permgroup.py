@@ -99,11 +99,21 @@ def test_parse_cycles_roundtrip():
 
 
 @pytest.mark.parametrize(
-    "text", ["(1,1)", "(1,2)(2,3)", "(0,1)", "(1,9)", "(1,2", "1,2)", "(x,y)"]
+    "text",
+    [
+        "(1,1)", "(1,2)(2,3)", "(0,1)", "(1,9)", "(1,2", "1,2)", "(x,y)",
+        # int() would read these as points 3, 1, 1 and 2
+        "(0_3,2)", "(+1,2)", "(\u0661,2)", "(1,\t2)",
+    ],
 )
 def test_parse_cycles_rejects(text):
     with pytest.raises(ValueError):
         parse_cycles(text, 8)
+
+
+def test_parse_cycles_names_the_bad_point():
+    with pytest.raises(ValueError, match=r"^invalid point '' in '\(1,2,\)'$"):
+        parse_cycles("(1,2,)", 8)
 
 
 # -- arithmetic ---------------------------------------------------------------

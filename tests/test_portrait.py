@@ -208,8 +208,33 @@ def test_leaf_permutation_examples():
 
 
 def test_leaf_permutation_matches_recursive_oracle():
-    for g in all_portraits(3):
-        assert leaf_permutation(g) == oracle_leaf_permutation(g)
+    # every depth-3 pair: products and inverses against the recursive oracle,
+    # and their labels against the path walk of vertex_image, which shares
+    # no code with the kernels
+    depth3 = list(all_portraits(3))
+    vertices = [Vertex(l, j + 1) for l in range(3) for j in range(1 << l)]
+
+    def labels(g):
+        return [g.level_bits(v.level)[v.position - 1] for v in vertices]
+
+    def moved(g):  # images of the vertices, as indices into ``vertices``
+        return [vertices.index(vertex_image(g, v)) for v in vertices]
+
+    oracle = [oracle_leaf_permutation(g) for g in depth3]
+    label_of = [labels(g) for g in depth3]
+    image_of = [moved(g) for g in depth3]
+    for a, g in enumerate(depth3):
+        assert leaf_permutation(g) == oracle[a]
+        g_inv = inverse(g)
+        assert leaf_permutation(g_inv) == oracle[a].inverse()
+        inv_labels = labels(g_inv)  # label of g^-1 at g(v) is g's label at v
+        assert [inv_labels[image_of[a][v]] for v in range(7)] == label_of[a]
+        for b, h in enumerate(depth3):
+            gh = compose(g, h)
+            assert leaf_permutation(gh) == oracle[a] * oracle[b]
+            assert labels(gh) == [
+                label_of[b][v] ^ label_of[a][image_of[b][v]] for v in range(7)
+            ]
     # past 256 leaves too, and through products and inverses, on the one
     # kernel implementation there is
     assert sylow2.BACKEND == "python"
