@@ -36,6 +36,18 @@ _MEMBER_PREDICATES = {
 }
 
 
+def _int(text: str) -> int:
+    """An optional '-' then ASCII digits; int() alone also takes "1_000",
+    " +12" and non-ASCII digits."""
+    digits = text.removeprefix("-")
+    try:
+        if digits.isascii() and digits.isdigit():
+            return int(text)
+    except ValueError:  # more digits than the interpreter converts
+        pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
 def _cmd_order(args):
     print(f"2^{composite.order_log2_syl2(args.kind, args.n)}")
     return 0
@@ -130,17 +142,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("order", help="2-adic order of the Sylow 2-subgroup")
     p.add_argument("kind", choices=("S", "A"))
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_int)
     p.set_defaults(func=_cmd_order)
 
     p = sub.add_parser("rank", help="minimal generating set size")
     p.add_argument("kind", choices=("S", "A"))
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_int)
     p.set_defaults(func=_cmd_rank)
 
     p = sub.add_parser("gens", help="emit a minimal generating set")
     p.add_argument("kind", choices=("S", "A"))
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_int)
     p.add_argument("--format", choices=("cycles", "portrait"), default="cycles")
     p.set_defaults(func=_cmd_gens)
 
@@ -158,14 +170,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the verification claims")
     p.add_argument("kind", choices=("S", "A", "B", "G"))
-    p.add_argument("target", type=int, help="n for kinds S/A, depth k for B/G")
+    p.add_argument("target", type=_int, help="n for kinds S/A, depth k for B/G")
     p.add_argument("--level", choices=("quick", "full"), default="quick")
     p.add_argument("--json", help="write the report to this path")
-    p.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
+    p.add_argument("--seed", type=_int, default=verify.DEFAULT_SEED)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("selftest", help="run the invariant self tests")
-    p.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
+    p.add_argument("--seed", type=_int, default=verify.DEFAULT_SEED)
     p.set_defaults(func=_cmd_selftest)
 
     return parser

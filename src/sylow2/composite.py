@@ -10,8 +10,8 @@ anything to pair).
 Minimal generating sets are built the way the congruence suggests: every
 generator of a non-largest block is paired with the fixed odd generator of
 the largest block, and the remaining generators of the largest block are
-emitted alone.  Odd n is handled by building for n-1 and letting the extra
-point sit still.
+emitted alone.  The extra point of an odd n is a 1-point block: it carries
+no tree, so it adds nothing to a rank and every generator fixes it.
 
 The element type for the even part is a tuple of portraits, one per block
 (None for a 1-point block); ``embed`` turns such a tuple into a permutation
@@ -150,31 +150,25 @@ def order_syl2_A(n: int) -> int:
 
 
 def rank_syl2_S(n: int) -> int:
-    if n < 1:
-        raise ValueError("n must be positive")
-    if n % 2 == 1:
-        n -= 1
-    if n == 0:
-        return 0
     return sum(decompose(n).exponents)
 
 
 def rank_syl2_A(n: int) -> int:
-    """Minimal generating set size; odd n reduces to n-1 first."""
-    if n < 1:
-        raise ValueError("n must be positive")
+    """Minimal generating set size: k for a single tree block of depth k,
+    one less than for S_n with two or more."""
+    trees = [e for e in decompose(n).exponents if e]  # raises for n < 1
     if n < 4:
         return 0
-    if n % 2 == 1:
-        n -= 1
-    exps = decompose(n).exponents
-    if len(exps) == 1:
-        return exps[0]
-    return sum(exps) - 1
+    return trees[0] if len(trees) == 1 else sum(trees) - 1
 
 
-def _identity_parts(layout: BlockLayout) -> list[Portrait | None]:
-    return [None if b.exponent == 0 else identity(b.exponent) for b in layout.blocks]
+def _element(layout: BlockLayout, parts: dict[int, Portrait]) -> SubdirectElement:
+    """The element with portrait parts[i] on block i and the identity (None
+    on a 1-point block) on every other block."""
+    return SubdirectElement(layout, tuple(
+        parts[i] if i in parts else identity(b.exponent) if b.exponent else None
+        for i, b in enumerate(layout.blocks)
+    ))
 
 
 def _odd_structure(k: int, j: int) -> Portrait:
@@ -201,13 +195,11 @@ def build_tuples_S(n: int) -> list[SubdirectElement]:
     empty for n = 1."""
     _check_gens_n(n)
     layout = block_layout(n)
-    out = []
-    for bi, block in enumerate(layout.blocks):
-        for g in gen_set_B(block.exponent) if block.exponent else []:
-            parts = _identity_parts(layout)
-            parts[bi] = g
-            out.append(SubdirectElement(layout, tuple(parts)))
-    return out
+    return [
+        _element(layout, {bi: g})
+        for bi, block in enumerate(layout.blocks) if block.exponent
+        for g in gen_set_B(block.exponent)
+    ]
 
 
 def build_gens_S(n: int) -> list[Permutation]:
@@ -219,30 +211,17 @@ def build_tuples_A(n: int) -> list[SubdirectElement]:
     _check_gens_n(n)
     if n < 4:
         return []
-    if n % 2 == 1:
-        lifted = block_layout(n)
-        return [
-            SubdirectElement(lifted, t.parts + (None,)) for t in build_tuples_A(n - 1)
-        ]
     layout = block_layout(n)
-    exps = decompose(n).exponents
-    if len(exps) == 1:
-        return [
-            SubdirectElement(layout, (g,)) for g in gen_set_G(exps[0])
-        ]
     big_k = layout.blocks[0].exponent
+    if sum(b.exponent >= 1 for b in layout.blocks) == 1:
+        return [_element(layout, {0: g}) for g in gen_set_G(big_k)]
     pair_with = alpha(big_k, big_k - 1)
-    out = []
-    for bi, block in enumerate(layout.blocks[1:], start=1):
-        for j in range(block.exponent):
-            parts = _identity_parts(layout)
-            parts[bi] = _odd_structure(block.exponent, j)
-            parts[0] = pair_with
-            out.append(SubdirectElement(layout, tuple(parts)))
-    for j in range(big_k - 1):
-        parts = _identity_parts(layout)
-        parts[0] = alpha(big_k, j)
-        out.append(SubdirectElement(layout, tuple(parts)))
+    out = [
+        _element(layout, {0: pair_with, bi: _odd_structure(block.exponent, j)})
+        for bi, block in enumerate(layout.blocks[1:], start=1)
+        for j in range(block.exponent)
+    ]
+    out += [_element(layout, {0: alpha(big_k, j)}) for j in range(big_k - 1)]
     return out
 
 

@@ -18,10 +18,10 @@ values are taken from those records.  ``plan_claims`` alone decides where
 the oracle runs (kinds A and S up to n = 128, kinds B and G up to depth 7).
 
 Each claim computation also receives the workspace of its run, a plain
-dict that ``run_verification`` creates once.  A group, its Frattini
-subgroup and its derived subgroup are built by the first claim of the run
-that needs them and reused by the rest, so one report builds each chain
-once.  Nothing outlives the run: ``run_claim`` without a workspace and
+dict that ``run_verification`` creates once.  A generating set, its group,
+the group's Frattini subgroup and its derived subgroup are built by the
+first claim of the run that needs them and reused by the rest, so one
+report builds each of them once.  Nothing outlives the run: ``run_claim`` without a workspace and
 ``recompute`` start from an empty one.
 """
 
@@ -51,6 +51,7 @@ from sylow2.portrait import (
 )
 
 ORACLE_LIMIT = 128  # no oracle work above this many points
+ENUMERATION_LIMIT = 4096  # no claim lists the elements of a larger group
 
 
 @dataclass
@@ -94,8 +95,9 @@ def _log2(order):
 # claim table
 # --------------------------------------------------------------------------
 
-def _composite_gens(params):
-    return composite.build_gens(params["kind"], params["n"])
+def _composite_gens(params, run):
+    kind, n = params["kind"], params["n"]
+    return _shared(run, ("gens", kind, n), lambda: composite.build_gens(kind, n))
 
 
 def _tree_gens(params):
@@ -117,7 +119,7 @@ def _group(params, run):
     if kind in ("A", "S"):
         n = params["n"]
         return _shared(run, ("group", kind, n),
-                       lambda: permgroup.PermGroup(n, _composite_gens(params)))
+                       lambda: permgroup.PermGroup(n, _composite_gens(params, run)))
     return _shared(run, ("group", kind, params["k"]),
                    lambda: wreath.leaf_group(_tree_gens(params)))
 
@@ -153,12 +155,12 @@ def _claim_legendre(params, run):
 
 
 def _claim_all_even(params, run):
-    return all(g.sign() == 1 for g in _composite_gens(params))
+    return all(g.sign() == 1 for g in _composite_gens(params, run))
 
 
 def _claim_fixed_point(params, run):
     n = params["n"]
-    fixed = all(g.apply(n - 1) == n - 1 for g in _composite_gens(params))
+    fixed = all(g.apply(n - 1) == n - 1 for g in _composite_gens(params, run))
     return n if fixed else None
 
 
@@ -181,7 +183,7 @@ def _claim_neighbor_ratios(params, run):
 
 def _claim_enumeration_even(params, run):
     group = _group(params, run)
-    elements = group.elements(4096)
+    elements = group.elements(ENUMERATION_LIMIT)
     return len(elements) == group.order and all(g.sign() == 1 for g in elements)
 
 
@@ -208,7 +210,7 @@ def _claim_derived_match(params, run):
         for g in wreath.all_portraits(k)
         if member(g)
     }
-    by_oracle = {g.images for g in _derived(params, run).elements(4096)}
+    by_oracle = {g.images for g in _derived(params, run).elements(ENUMERATION_LIMIT)}
     return by_predicate == by_oracle
 
 
@@ -293,7 +295,7 @@ def plan_claims(kind: str, target: int, level: str, seed: int) -> list[tuple[str
             if n % 2 == 1:
                 plan.append(("composite/fixed-point", base))
             if level == "full":
-                if kind == "A" and composite.order_syl2_A(n) <= 4096:
+                if kind == "A" and composite.order_syl2_A(n) <= ENUMERATION_LIMIT:
                     plan.append(("composite/enumeration-even", base))
                 exps = composite.decompose(n).exponents
                 if kind == "A" and len(exps) == 1 and exps[0] >= 2:
@@ -309,8 +311,9 @@ def plan_claims(kind: str, target: int, level: str, seed: int) -> list[tuple[str
     elif kind in ("B", "G"):
         k = target
         low = 1 if kind == "B" else 2
-        if not low <= k <= 7:
-            raise ValueError(f"verify {kind} needs {low} <= k <= 7, got {k}")
+        high = ORACLE_LIMIT.bit_length() - 1  # a depth-k tree has 2**k leaves
+        if not low <= k <= high:
+            raise ValueError(f"verify {kind} needs {low} <= k <= {high}, got {k}")
         base = {"kind": kind, "k": k}
         plan.append(("tree/order-log2", base))
         plan.append(("tree/rank", base))

@@ -76,6 +76,20 @@ def test_gens_huge_n_exits_2(capsys, kind, n):
     assert run(capsys, "gens", kind, str(n)) == (2, "", err)
 
 
+@pytest.mark.parametrize("text", ["1_000", "+12", " 12", "\u0661\u0662", "abc", ""])
+@pytest.mark.parametrize("argv", [
+    ("order", "A", "{}"),
+    ("verify", "G", "{}"),
+    ("verify", "G", "3", "--seed", "{}"),
+    ("selftest", "--seed", "{}"),
+])
+def test_malformed_int_exits_2(capsys, argv, text):
+    # int() alone would read all but the last two of these
+    code, out, err = run(capsys, *(a.format(text) for a in argv))
+    assert (code, out) == (2, "")
+    assert err.endswith(f": invalid int value: {text!r}\n")
+
+
 def test_gens_trivial_group_prints_nothing(capsys):
     assert run(capsys, "gens", "S", "1") == (0, "", "")
 

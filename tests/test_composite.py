@@ -80,7 +80,7 @@ def test_rank_examples():
     assert rank_syl2_A(28) == 8
     for k in (2, 3, 4, 5):
         assert rank_syl2_A(2**k) == k
-    assert rank_syl2_A(5) == 2  # odd n reduces to n - 1 = 4 first
+    assert rank_syl2_A(5) == 2  # the 1-point block of 5 = 4 + 1 adds nothing
     assert rank_syl2_A(3) == 0
     assert rank_syl2_S(12) == 5
     assert rank_syl2_S(7) == 3
@@ -245,6 +245,15 @@ def test_fixed_point_examples():
             params = {"kind": kind, "n": n}
             claim = verify.run_claim("composite/fixed-point", params)
             assert claim.computed == fixed
+
+
+def test_odd_n_adds_a_fixed_1_point_block():
+    for n in range(3, 302, 2):
+        for kind in "AS":
+            odd = [t.parts for t in composite.build_tuples(kind, n)]
+            even = [t.parts + (None,) for t in composite.build_tuples(kind, n - 1)]
+            assert odd == even
+            assert composite.rank_syl2(kind, n) == composite.rank_syl2(kind, n - 1)
 
 
 def test_fixed_point_orbit():

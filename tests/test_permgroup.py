@@ -393,6 +393,7 @@ def test_diagonal_chains_match_closure_depth_2_3():
         assert_matches_closure(gens, gens[0].degree, randoms[gens[0].degree])
 
 
+@pytest.mark.slow
 def test_diagonal_chains_match_closure_depth_4_sample():
     cases = _diagonal_sets("B", 4) + _diagonal_sets("G", 4)
     assert len(cases) == 3072

@@ -38,8 +38,9 @@ def test_full_plan_above_oracle_limit_is_refused():
 
 @pytest.fixture
 def build_counts(monkeypatch):
-    """Count nonempty chain builds by degree, and the Frattini and derived
-    closures, made through the oracle while the test runs."""
+    """Count nonempty chain builds by degree, the Frattini and derived
+    closures made through the oracle, and the generating sets of kinds A and
+    S built, while the test runs."""
     counts = Counter()
     init = verify.permgroup.PermGroup.__init__
     closure = verify.permgroup.normal_closure
@@ -63,11 +64,19 @@ def build_counts(monkeypatch):
             return _original(G)
 
         monkeypatch.setattr(verify.permgroup, name, counting)
+    build_gens = verify.composite.build_gens
+
+    def counting_gens(kind, n):
+        counts["gens"] += 1
+        return build_gens(kind, n)
+
+    monkeypatch.setattr(verify.composite, "build_gens", counting_gens)
     return counts
 
 
 @pytest.mark.parametrize("kind,target,degree,derived", [
     ("A", 28, 28, 0),
+    ("A", 27, 27, 0),  # the group, all-even and fixed-point share the gens
     ("G", 5, 32, 1),
 ])
 def test_run_builds_each_chain_and_subgroup_once(build_counts, kind, target,
@@ -78,10 +87,12 @@ def test_run_builds_each_chain_and_subgroup_once(build_counts, kind, target,
     assert build_counts["frattini_of_2group"] == 1
     assert build_counts["derived_subgroup"] == derived
     assert build_counts["closure"] == 1 + derived
+    assert build_counts["gens"] == (kind in "AS")
     for record in records:
         assert verify.recompute(asdict(record)) == record.computed
 
 
+@pytest.mark.slow
 def test_full_runs_pass_up_to_oracle_limit():
     targets = [(kind, n) for kind in "AS" for n in (33, 48, 63, 64, 96, 127, 128)]
     targets += [("B", 7), ("G", 7)]
