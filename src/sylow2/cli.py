@@ -114,7 +114,7 @@ def _cmd_verify(args):
             f"computed={r.computed} [{r.provenance}] ({r.wall_time_s:.3f}s)"
         )
     doc = verify.report_to_json(args.kind, args.target, args.level, args.seed, records)
-    if args.json:
+    if args.json is not None:  # an empty path is an error, not no report
         try:
             verify.write_report(args.json, doc)
         except OSError as exc:

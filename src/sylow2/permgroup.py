@@ -164,8 +164,10 @@ class PermGroup:
     for solvable groups, specialised to 2-groups), which forms no Schreier
     generators.  Generators of a group that is not a 2-group raise
     ``ValueError``, from the constructor or from ``normal_closure``.
-    ``order`` and ``contains`` are exact.  Instances are immutable after
-    construction and safe to query concurrently.
+    Elements enter the chain only through ``_adjoin``: the constructor
+    adjoins each generator, and ``normal_closure`` grows its result the same
+    way before it returns the group.  ``order`` and ``contains`` are exact.
+    Instances are immutable once returned and safe to query concurrently.
     """
 
     def __init__(self, degree: int, generators=()):
@@ -175,37 +177,38 @@ class PermGroup:
         self.generators: list[Permutation] = []
         self._identity = tuple(range(degree))
         self._bases: list[int] = []
-        # per level: strong generators fixing all earlier base points; level 0
-        # holds every extension element, in order
-        self._sgens: list[list[tuple[int, ...]]] = []
+        # every installed element, in order; level i's strong generators are
+        # the ones that fix bases[:i]
+        self._extensions: list[tuple[int, ...]] = []
         # per level: orbit point -> (u, u_inverse) with u(base) = point
         self._transversals: list[dict[int, tuple]] = []
         for g in generators:
             if g.degree != degree:
                 raise ValueError("degree mismatch among generators")
-            self._add_generator(g.images)
+            self._adjoin(g.images)
             self.generators.append(g)
 
     # -- construction ----------------------------------------------------
 
-    def _add_generator(self, raw):
-        """Extend the chain with one permutation."""
-        if not self._contains_raw(raw):
-            try:
-                self._extend(raw, 0, {})
-            except RecursionError:
-                raise ValueError(
-                    "index-2 extensions nested beyond the interpreter's "
-                    "recursion limit; the generators may not form a 2-group"
-                ) from None
+    def _adjoin(self, raw) -> bool:
+        """Extend the chain with one permutation; True if the group grew."""
+        size = len(self._extensions)
+        try:
+            self._extend(raw, 0, {})
+        except RecursionError:
+            raise ValueError(
+                "index-2 extensions nested beyond the interpreter's "
+                "recursion limit; the generators may not form a 2-group"
+            ) from None
+        return len(self._extensions) > size
 
     def _extend(self, raw, depth, path):
-        """Add raw, not yet a member, by index-2 steps.
+        """Add raw by index-2 steps; a member returns at once.
 
         First make raw normalise the group H built so far, with its square
-        in H: add the square, then each conjugate raw.h.raw^-1 of an
-        extension element h, whenever it is not a member yet.  Then H and
-        raw generate a group with H at index 2.
+        in H: extend by the square, then by each conjugate raw.h.raw^-1 of
+        an extension element h.  Then H and raw generate a group with H at
+        index 2.
 
         Let P be a 2-group holding raw and H, and P_j the j-th term of its
         lower exponent-2 central series.  If raw lies in P_j.H, its square
@@ -224,21 +227,21 @@ class PermGroup:
           element whose extension has finished is a member and never comes
           back, so only elements on the nesting path can recur.
         """
+        if self._contains_raw(raw):
+            return
         if depth > self.degree:
             raise ValueError("not a 2-group: index-2 nesting deeper than the degree")
-        size = len(self._sgens[0]) if self._sgens else 0
+        size = len(self._extensions)
         if path.get(raw) == size:
             raise ValueError("not a 2-group: an element recurred while extending")
         path[raw] = size
-        square = mult_perm(raw, raw)
-        if not self._contains_raw(square):
-            self._extend(square, depth + 1, path)
+        self._extend(mult_perm(raw, raw), depth + 1, path)
         inverse = inv_perm(raw)
         i = 0
-        while self._sgens and i < len(self._sgens[0]):  # grows as H does
-            h = self._sgens[0][i]
+        while i < len(self._extensions):  # grows as H does
+            h = self._extensions[i]
             conjugate = mult_perm(raw, mult_perm(h, inverse))
-            if conjugate != h and not self._contains_raw(conjugate):
+            if conjugate != h:
                 self._extend(conjugate, depth + 1, path)
             i += 1
         residue, level = self._strip(raw)
@@ -255,15 +258,12 @@ class PermGroup:
             transversal[raw[point]] = (mult_perm(raw, u), mult_perm(u_inv, inverse))
 
     def _install(self, raw, level):
-        # raw fixes bases[:level]; register it at that level and at every
-        # shallower one, keeping the generator sets nested along the chain
+        # raw fixes bases[:level]; open a new level if it fixes every base
         if level == len(self._bases):
             base = next(i for i, v in enumerate(raw) if i != v)
             self._bases.append(base)
-            self._sgens.append([])
             self._transversals.append({base: (self._identity, self._identity)})
-        for j in range(level + 1):
-            self._sgens[j].append(raw)
+        self._extensions.append(raw)
 
     def _strip(self, raw):
         """Sift raw through the chain; return (residue, stuck level)."""
@@ -353,12 +353,9 @@ def normal_closure(G: PermGroup, seeds) -> PermGroup:
         queue.append(s.images)
     while queue:
         raw = queue.pop()
-        if raw == N._identity or N._contains_raw(raw):
-            continue
-        N._add_generator(raw)
-        N.generators.append(Permutation(raw))
-        for h in gen_raws:
-            queue.append(mult_perm(h, mult_perm(raw, inv_perm(h))))
+        if N._adjoin(raw):
+            N.generators.append(Permutation(raw))
+            queue.extend(mult_perm(h, mult_perm(raw, inv_perm(h))) for h in gen_raws)
     return N
 
 

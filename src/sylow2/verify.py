@@ -20,9 +20,12 @@ the oracle runs (kinds A and S up to n = 128, kinds B and G up to depth 7).
 Each claim computation also receives the workspace of its run, a plain
 dict that ``run_verification`` creates once.  A generating set, its group,
 the group's Frattini subgroup and its derived subgroup are built by the
-first claim of the run that needs them and reused by the rest, so one
-report builds each of them once.  Nothing outlives the run: ``run_claim`` without a workspace and
-``recompute`` start from an empty one.
+first claim of the run that needs them and reused by the rest, so the
+claims of one run build each of them once.  The report summary is not part
+of the run: ``report_to_json`` calls ``composite.verification_record``,
+which builds the generating set again.  Nothing outlives the run:
+``run_claim`` without a workspace and ``recompute`` start from an empty
+one.
 """
 
 from __future__ import annotations

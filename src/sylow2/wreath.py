@@ -19,7 +19,7 @@ function over immutable portraits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import product
 
 from sylow2 import permgroup
 from sylow2.portrait import (
@@ -235,8 +235,3 @@ def all_portraits(k: int):
     # product varies its last entry fastest; reversed makes that label 0
     for labels in product(b"\0\1", repeat=(1 << k) - 1):
         yield Portrait(k, bytes(reversed(labels)))
-
-
-def reachable_pairs(k: int) -> list[tuple[int, int]]:
-    """All 1-based position pairs (i, j), i < j, on the last level."""
-    return list(combinations(range(1, (1 << (k - 1)) + 1), 2))

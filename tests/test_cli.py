@@ -90,6 +90,14 @@ def test_malformed_int_exits_2(capsys, argv, text):
     assert err.endswith(f": invalid int value: {text!r}\n")
 
 
+def test_overlong_int_exits_2(capsys):
+    # more digits than int() converts, so _int's ValueError branch answers
+    text = "9" * 5000
+    code, out, err = run(capsys, "order", "A", text)
+    assert (code, out) == (2, "")
+    assert err.endswith(f": invalid int value: {text!r}\n")
+
+
 def test_gens_trivial_group_prints_nothing(capsys):
     assert run(capsys, "gens", "S", "1") == (0, "", "")
 
@@ -130,6 +138,23 @@ def test_calc_comm_identity(capsys):
 def test_calc_abelianize(capsys):
     assert run(capsys, "calc", "abelianize-G", "0/00/1001")[:2] == (0, "001\n")
     assert run(capsys, "calc", "abelianize-B", "1/10/0000")[:2] == (0, "110\n")
+
+
+def test_calc_inv(capsys):
+    code, out, _ = run(capsys, "calc", "inv", "1/10")
+    assert code == 0
+    assert out.splitlines()[0] == "1/01"
+
+
+@pytest.mark.parametrize("argv, err", [
+    (("calc", "mul", "1/00"), "error: mul takes exactly two operands\n"),
+    (("calc", "comm", "1/00", "1/00", "1/00"), "error: comm takes exactly two operands\n"),
+    (("calc", "inv", "1/00", "1/00"), "error: inv takes exactly one operand\n"),
+    (("calc", "abelianize-G", "0/00/1001", "0/00/1001"),
+     "error: abelianize-G takes exactly one operand\n"),
+])
+def test_calc_operand_count_exits_2(capsys, argv, err):
+    assert run(capsys, *argv) == (2, "", err)
 
 
 def test_calc_depth_mismatch_exits_2(capsys):
@@ -210,6 +235,14 @@ def test_verify_unwritable_report_exits_2(capsys, tmp_path):
     assert "FAIL" not in out
     assert err.startswith("error: ") and "x.json" in err
     assert not report.exists()
+
+
+def test_verify_empty_report_path_exits_2(capsys):
+    # an empty --json path is refused like any other unwritable one
+    code, out, err = run(capsys, "verify", "A", "7", "--json", "")
+    assert code == 2
+    assert out.startswith("pass ") and "FAIL" not in out
+    assert err.startswith("error: cannot write the report: ")
 
 
 def test_report_roundtrip(capsys, tmp_path):

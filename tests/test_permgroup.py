@@ -48,17 +48,23 @@ class ClosureGroup(PermGroup):
         self._sifted = set()  # (level, point, generator index) done
         super().__init__(degree, generators)
 
-    def _add_generator(self, raw):
+    def _adjoin(self, raw):
+        size = len(self._extensions)
         residue, level = self._strip(raw)
         while residue != self._identity:
             self._install(residue, level)
             residue, level = self._unsifted_schreier_generator()
+        return len(self._extensions) > size
 
     def _unsifted_schreier_generator(self):
         """Residue and stuck level of the first Schreier generator that does
         not sift; deepest level first keeps the sweep finite."""
         for i in range(len(self._bases) - 1, -1, -1):
-            gens, transversal = self._sgens[i], self._transversals[i]
+            # level i's strong generators: the installed elements that fix
+            # bases[:i], in the order they were installed
+            fixed = self._bases[:i]
+            gens = [g for g in self._extensions if all(g[b] == b for b in fixed)]
+            transversal = self._transversals[i]
             points = list(transversal)
             for p in points:  # grows until the orbit is complete
                 up = transversal[p][0]
@@ -472,6 +478,32 @@ def test_oracle_imports_only_stdlib_and_kernels():
         for name in names:
             top = name.split(".")[0]
             assert name == "sylow2.kernels" or top in sys.stdlib_module_names, name
+
+
+CHAIN_INTERNALS = {
+    "_bases", "_transversals", "_extensions", "_identity", "_strip",
+    "_contains_raw", "_extend",
+}
+
+
+def test_elements_enter_a_chain_only_through_adjoin():
+    # outside the PermGroup class body no library code touches the chain's
+    # internals, and normal_closure grows its result through _adjoin alone
+    for path in sorted(Path(permgroup.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        scope = {}  # node id -> name of the top-level definition holding it
+        if path.name == "permgroup.py":
+            for top in tree.body:
+                if getattr(top, "name", None) in ("PermGroup", "normal_closure"):
+                    scope.update((id(node), top.name) for node in ast.walk(top))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Attribute):
+                continue
+            where = (path.name, node.lineno, node.attr)
+            if scope.get(id(node)) != "PermGroup":
+                assert node.attr not in CHAIN_INTERNALS, where
+            if scope.get(id(node)) == "normal_closure":
+                assert not node.attr.startswith("_") or node.attr == "_adjoin", where
 
 
 def test_label_layout_stays_in_portrait_and_kernels():

@@ -199,7 +199,7 @@ def test_fixtures_cover_every_claim():
         for path in FIXTURES
         for record in verify.read_report(path)["claims"]
     }
-    assert len(covered) == 14
+    assert covered == set(verify.CLAIMS)
 
 
 def test_samples_repeat_the_inline_draw_loop():
