@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import combinations
 
 from sylow2.kernels import inv_perm, mult_perm
 
@@ -36,8 +37,10 @@ class Permutation:
     images: tuple[int, ...]
 
     def __post_init__(self):
-        n = len(self.images)
-        if sorted(self.images) != list(range(n)):
+        images = self.images
+        if not isinstance(images, tuple):
+            raise ValueError(f"images must be a tuple, got {type(images).__name__}")
+        if sorted(images) != list(range(len(images))):
             raise ValueError("images are not a bijection of 0..n-1")
 
     @classmethod
@@ -208,7 +211,7 @@ class PermGroup:
         First make raw normalise the group H built so far, with its square
         in H: extend by the square, then by each conjugate raw.h.raw^-1 of
         an extension element h.  Then H and raw generate a group with H at
-        index 2.
+        index 2, and the sift at the top is reused unless H grew since.
 
         Let P be a 2-group holding raw and H, and P_j the j-th term of its
         lower exponent-2 central series.  If raw lies in P_j.H, its square
@@ -227,7 +230,8 @@ class PermGroup:
           element whose extension has finished is a member and never comes
           back, so only elements on the nesting path can recur.
         """
-        if self._contains_raw(raw):
+        residue, level = self._strip(raw)
+        if residue == self._identity:
             return
         if depth > self.degree:
             raise ValueError("not a 2-group: index-2 nesting deeper than the degree")
@@ -237,15 +241,13 @@ class PermGroup:
         path[raw] = size
         self._extend(mult_perm(raw, raw), depth + 1, path)
         inverse = inv_perm(raw)
-        i = 0
-        while i < len(self._extensions):  # grows as H does
-            h = self._extensions[i]
+        for h in self._extensions:  # the list grows as H does
             conjugate = mult_perm(raw, mult_perm(h, inverse))
             if conjugate != h:
                 self._extend(conjugate, depth + 1, path)
-            i += 1
-        residue, level = self._strip(raw)
-        if residue != self._identity:
+        if len(self._extensions) > size:  # H grew, so the top sift is stale
+            residue, level = self._strip(raw)
+        if residue != self._identity:  # H can swallow raw if P is no 2-group
             self._double(residue, level)
 
     def _double(self, raw, level):
@@ -292,11 +294,7 @@ class PermGroup:
     def contains(self, g: Permutation) -> bool:
         if g.degree != self.degree:
             raise ValueError("degree mismatch")
-        return self._contains_raw(g.images)
-
-    def _contains_raw(self, raw) -> bool:
-        residue, _ = self._strip(raw)
-        return residue == self._identity
+        return self._strip(g.images)[0] == self._identity
 
     def __contains__(self, g: Permutation) -> bool:
         return self.contains(g)
@@ -345,7 +343,7 @@ def group_from_generators(gens, degree: int | None = None) -> PermGroup:
 def normal_closure(G: PermGroup, seeds) -> PermGroup:
     """Smallest subgroup containing the seeds and normalized by G."""
     N = type(G)(G.degree)
-    gen_raws = [g.images for g in G.generators]
+    gen_pairs = [(g.images, inv_perm(g.images)) for g in G.generators]
     queue = []
     for s in seeds:
         if s.degree != G.degree:
@@ -355,12 +353,13 @@ def normal_closure(G: PermGroup, seeds) -> PermGroup:
         raw = queue.pop()
         if N._adjoin(raw):
             N.generators.append(Permutation(raw))
-            queue.extend(mult_perm(h, mult_perm(raw, inv_perm(h))) for h in gen_raws)
+            queue.extend(mult_perm(h, mult_perm(raw, h_inv)) for h, h_inv in gen_pairs)
     return N
 
 
 def _commutators(gens) -> list[Permutation]:
-    return [a * b * a.inverse() * b.inverse() for a in gens for b in gens]
+    # [a, a] = 1 and [b, a] = [a, b]^-1 add nothing to a normal closure
+    return [a * b * a.inverse() * b.inverse() for a, b in combinations(gens, 2)]
 
 
 def derived_subgroup(G: PermGroup) -> PermGroup:

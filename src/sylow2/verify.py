@@ -23,7 +23,8 @@ the group's Frattini subgroup and its derived subgroup are built by the
 first claim of the run that needs them and reused by the rest, so the
 claims of one run build each of them once.  The report summary is not part
 of the run: ``report_to_json`` calls ``composite.verification_record``,
-which builds the generating set again.  Nothing outlives the run:
+which builds the generating set again, and ``sylow2 verify`` calls it only
+when ``--json`` asks for a report.  Nothing outlives the run:
 ``run_claim`` without a workspace and ``recompute`` start from an empty
 one.
 """

@@ -2,7 +2,7 @@
 
 Each test prints one pass/fail line (visible with ``pytest -s``) and
 enforces the stated exactness and runtime budget.  Budgets are wall-clock
-upper bounds; the suite is far below them on either kernel backend.
+upper bounds; the suite is far below them.
 
 Criteria that restate a claim run it from the claim table (``claim``) and
 then check the computed value against the number the criterion states, so

@@ -1,7 +1,9 @@
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -245,6 +247,22 @@ def test_verify_empty_report_path_exits_2(capsys):
     assert err.startswith("error: cannot write the report: ")
 
 
+def test_verify_without_json_builds_no_report(capsys, monkeypatch):
+    # the summary, which builds the generating set again, is made only for
+    # --json; the exit code comes from the claim records alone
+    def no_report(*args):
+        raise AssertionError("report built without --json")
+
+    monkeypatch.setattr(verify, "report_to_json", no_report)
+    code, out, err = run(capsys, "verify", "A", "14")
+    assert (code, err) == (0, "")
+    assert "composite/rank" in out and "FAIL" not in out
+    monkeypatch.setattr(verify.composite, "rank_syl2", lambda kind, n: 0)
+    code, out, err = run(capsys, "verify", "A", "14")
+    assert (code, err) == (1, "")
+    assert "FAIL composite/rank" in out
+
+
 def test_report_roundtrip(capsys, tmp_path):
     # re-running the claims recorded in a report reproduces computed values
     report = tmp_path / "r.json"
@@ -318,7 +336,21 @@ def test_parser_built_once_and_reused_cleanly(capsys):
     assert [run(capsys, *argv) for argv in sequence] == alone
 
 
+def _pyproject_version():
+    """The [project] version in pyproject.toml, with tomllib where the
+    interpreter has it (3.11+) and a regex on the version line otherwise."""
+    text = (Path(__file__).parent.parent / "pyproject.toml").read_text()
+    try:
+        import tomllib
+    except ImportError:
+        project = text[text.index("[project]"):]
+        return re.search(r'^version = "([^"]+)"$', project, re.MULTILINE).group(1)
+    return tomllib.loads(text)["project"]["version"]
+
+
 def test_version(capsys):
     expected = f"sylow2 {sylow2.__version__}\n"
     assert run(capsys, "--version") == (0, expected, "")
     assert run_alone("--version") == (0, expected, "")
+    # one version number: the package's and the distribution's agree
+    assert expected == f"sylow2 {_pyproject_version()}\n"

@@ -164,6 +164,16 @@ def test_cycle_type():
     assert dict(parse_cycles("(1,2)(3,4,5)", 8).cycle_type()) == {1: 3, 2: 1, 3: 1}
 
 
+def test_permutation_validated():
+    # a list of images would compare unequal to the same tuple and could not
+    # key a dict, so it is refused like any other malformed images
+    with pytest.raises(ValueError, match="images must be a tuple, got list"):
+        Permutation([1, 0])
+    for images in ((1, 2), (0, 0)):  # a point outside 0..n-1, a repeated image
+        with pytest.raises(ValueError, match="not a bijection"):
+            Permutation(images)
+
+
 # -- stabilizer chain ---------------------------------------------------------
 
 def test_order_s4():
@@ -397,6 +407,32 @@ def test_diagonal_chains_match_closure_depth_2_3():
     randoms = {degree: random_perms(degree, seed=degree) for degree in (4, 8)}
     for gens in cases:
         assert_matches_closure(gens, gens[0].degree, randoms[gens[0].degree])
+
+
+def test_frattini_and_derived_match_bruteforce():
+    # independent of the seeds normal_closure is given: G' is closed from the
+    # commutators of all pairs of elements, and Phi(G) = G^2 for a 2-group
+    # from the squares of all elements, by plain breadth-first products
+    cases = [composite.build_gens(kind, n) for kind in "AS" for n in range(2, 11)]
+    cases += [gens for kind in "BG" for k in (2, 3) for gens in _diagonal_sets(kind, k)]
+    cases = [gens for gens in cases if gens]  # A_2 and A_3 are trivial
+    assert len(cases) == 18 - 2 + 2 + 16 + 1 + 8
+    for gens in cases:
+        G = PermGroup(gens[0].degree, gens)
+        elements = [g.images for g in G.elements(256)]
+        points = range(G.degree)
+        # a's inverse lists the points in the order of their images under a
+        inverses = {a: sorted(points, key=a.__getitem__) for a in elements}
+        commutators = {
+            tuple(a[b[inverses[a][inverses[b][x]]]] for x in points)
+            for a in elements
+            for b in elements
+        }
+        squares = {tuple(a[a[x]] for x in points) for a in elements}
+        derived_order = len(bruteforce_closure([Permutation(c) for c in commutators]))
+        assert derived_subgroup(G).order == derived_order
+        frattini_order = len(bruteforce_closure([Permutation(q) for q in squares]))
+        assert frattini_of_2group(G).order == frattini_order
 
 
 @pytest.mark.slow
