@@ -106,7 +106,10 @@ def _cmd_calc(args):
 
 
 def _cmd_verify(args):
-    records = verify.run_verification(args.kind, args.target, args.level, args.seed)
+    run: dict = {}  # the claims' workspace, shared with the report summary
+    records = verify.run_verification(
+        args.kind, args.target, args.level, args.seed, run
+    )
     for r in records:
         status = "pass" if r.passed else "FAIL"
         print(
@@ -115,7 +118,7 @@ def _cmd_verify(args):
         )
     if args.json is not None:  # an empty path is an error, not no report
         doc = verify.report_to_json(
-            args.kind, args.target, args.level, args.seed, records
+            args.kind, args.target, args.level, args.seed, records, run
         )
         try:
             verify.write_report(args.json, doc)

@@ -291,6 +291,8 @@ def boxtimes_order(orders, grouping=None) -> int:
 
     def value(node):
         if isinstance(node, int):
+            if isinstance(node, bool) or not 0 <= node < len(orders):
+                raise ValueError(f"grouping index {node!r} is not a factor index")
             used.append(node)
             return orders[node]
         children = list(node)
@@ -310,14 +312,14 @@ def boxtimes_order(orders, grouping=None) -> int:
 
 
 def verification_record(
-    n: int, kind: str, oracle_order_log2: int | None, oracle_rank: int | None
+    n: int, kind: str, oracle_order_log2: int | None, oracle_rank: int | None,
+    gens: list[Permutation],
 ) -> dict:
     """Oracle-vs-formula record for one n, in the stable report schema; the
-    oracle values are those the verify claims computed, so no chain is
-    built here."""
+    oracle values and ``gens`` (``build_gens(kind, n)``) are those the
+    verify claims computed, so nothing is built here."""
     expected_order_log2 = order_log2_syl2(kind, n)
     expected_rank = rank_syl2(kind, n)
-    gens = build_gens(kind, n)
     all_even = all(g.sign() == 1 for g in gens)
     fixed = sorted(
         p + 1 for p in range(n) if all(g.apply(p) == p for g in gens)

@@ -8,7 +8,8 @@ sizes) can be checked against plain permutation computations.
 Permutations act on points 1..n in the text interface (cycle notation) and
 on 0..n-1 internally.  All products are left action: ``(p * q)(x) = p(q(x))``.
 
-The stabilizer chain keeps explicit transversals.  Every group the package
+The stabilizer chain keeps explicit transversals: a level maps each orbit
+point to u^-1, where u is its coset representative.  Every group the package
 asks about is a 2-group (a Sylow 2-subgroup of S_n or A_n, a tree group, or
 a derived or Frattini subgroup of one), so ``PermGroup`` accepts 2-groups
 only and grows the chain one index-2 step at a time (Sims' method for
@@ -183,8 +184,9 @@ class PermGroup:
         # every installed element, in order; level i's strong generators are
         # the ones that fix bases[:i]
         self._extensions: list[tuple[int, ...]] = []
-        # per level: orbit point -> (u, u_inverse) with u(base) = point
-        self._transversals: list[dict[int, tuple]] = []
+        # per level: orbit point -> u^-1, for the coset representative u
+        # with u(base) = point
+        self._transversals: list[dict[int, tuple[int, ...]]] = []
         for g in generators:
             if g.degree != degree:
                 raise ValueError("degree mismatch among generators")
@@ -247,24 +249,27 @@ class PermGroup:
                 self._extend(conjugate, depth + 1, path)
         if len(self._extensions) > size:  # H grew, so the top sift is stale
             residue, level = self._strip(raw)
-        if residue != self._identity:  # H can swallow raw if P is no 2-group
-            self._double(residue, level)
+        if residue == raw:  # the sift moved nothing
+            self._double(raw, level, inverse)
+        elif residue != self._identity:  # H can swallow raw if P is no 2-group
+            self._double(residue, level, inv_perm(residue))
 
-    def _double(self, raw, level):
+    def _double(self, raw, level, inverse):
         """Extend by raw, which fixes bases[:level], normalises the group
-        and squares into it, so the orbit at that level doubles."""
+        and squares into it, so the orbit at that level doubles; inverse is
+        raw^-1.  The representative raw.u of raw(point) is stored as
+        u^-1.raw^-1."""
         self._install(raw, level)
-        inverse = inv_perm(raw)
         transversal = self._transversals[level]
-        for point, (u, u_inv) in list(transversal.items()):
-            transversal[raw[point]] = (mult_perm(raw, u), mult_perm(u_inv, inverse))
+        for point, u_inv in list(transversal.items()):
+            transversal[raw[point]] = mult_perm(u_inv, inverse)
 
     def _install(self, raw, level):
         # raw fixes bases[:level]; open a new level if it fixes every base
         if level == len(self._bases):
             base = next(i for i, v in enumerate(raw) if i != v)
             self._bases.append(base)
-            self._transversals.append({base: (self._identity, self._identity)})
+            self._transversals.append({base: self._identity})
         self._extensions.append(raw)
 
     def _strip(self, raw):
@@ -273,10 +278,10 @@ class PermGroup:
             x = raw[base]
             if x == base:
                 continue  # the coset representative is the identity
-            entry = self._transversals[i].get(x)
-            if entry is None:
+            u_inv = self._transversals[i].get(x)
+            if u_inv is None:
                 return raw, i
-            raw = mult_perm(entry[1], raw)
+            raw = mult_perm(u_inv, raw)
         return raw, len(self._bases)
 
     # -- queries ----------------------------------------------------------
@@ -305,26 +310,9 @@ class PermGroup:
             raise ValueError(f"order {self.order} exceeds cap {cap}")
         raws = [self._identity]
         for level in range(len(self._bases) - 1, -1, -1):
-            raws = [
-                mult_perm(entry[0], h)
-                for entry in self._transversals[level].values()
-                for h in raws
-            ]
+            reps = [inv_perm(u_inv) for u_inv in self._transversals[level].values()]
+            raws = [mult_perm(u, h) for u in reps for h in raws]
         return [Permutation(r) for r in raws]
-
-    def orbit(self, point: int) -> set[int]:
-        """Orbit of a 0-based point under the group."""
-        seen = {point}
-        queue = [point]
-        raws = [g.images for g in self.generators]
-        while queue:
-            p = queue.pop()
-            for g in raws:
-                q = g[p]
-                if q not in seen:
-                    seen.add(q)
-                    queue.append(q)
-        return seen
 
     def __repr__(self) -> str:
         return f"PermGroup(degree={self.degree}, order={self.order})"

@@ -18,15 +18,15 @@ values are taken from those records.  ``plan_claims`` alone decides where
 the oracle runs (kinds A and S up to n = 128, kinds B and G up to depth 7).
 
 Each claim computation also receives the workspace of its run, a plain
-dict that ``run_verification`` creates once.  A generating set, its group,
-the group's Frattini subgroup and its derived subgroup are built by the
-first claim of the run that needs them and reused by the rest, so the
-claims of one run build each of them once.  The report summary is not part
-of the run: ``report_to_json`` calls ``composite.verification_record``,
-which builds the generating set again, and ``sylow2 verify`` calls it only
+dict that ``run_verification`` is given or creates once.  A generating
+set, its group, the group's Frattini subgroup and its derived subgroup are
+built by the first claim of the run that needs them and reused by the
+rest, so the claims of one run build each of them once.
+``report_to_json`` takes the workspace too, so the report summary reuses
+the run's generating set, and ``sylow2 verify`` builds the summary only
 when ``--json`` asks for a report.  Nothing outlives the run:
-``run_claim`` without a workspace and ``recompute`` start from an empty
-one.
+``run_claim``, ``run_verification`` and ``report_to_json`` without a
+workspace and ``recompute`` start from an empty one.
 """
 
 from __future__ import annotations
@@ -356,9 +356,13 @@ def run_claim(claim: str, params: dict, run: dict | None = None) -> Verification
 
 
 def run_verification(kind: str, target: int, level: str = "quick",
-                     seed: int = DEFAULT_SEED) -> list[VerificationReport]:
+                     seed: int = DEFAULT_SEED,
+                     run: dict | None = None) -> list[VerificationReport]:
+    """Run the planned claims; ``run`` is their shared workspace, in which
+    each group and subgroup of the run is built once, a fresh one when none
+    is given."""
     plan = plan_claims(kind, target, level, seed)
-    run: dict = {}  # each group and subgroup of the run, built once
+    run = {} if run is None else run
     return [run_claim(c, p, run) for c, p in plan]
 
 
@@ -368,7 +372,10 @@ def recompute(record: dict):
     return CLAIMS[record["claim"]].compute(record["params"], {})
 
 
-def report_to_json(kind, target, level, seed, records) -> dict:
+def report_to_json(kind, target, level, seed, records, run=None) -> dict:
+    """The report document; ``run`` is the workspace the records were
+    computed in, whose generating set the summary reuses, a fresh one when
+    none is given."""
     computed = {r.claim: r.computed for r in records}
     doc = {
         "kind": kind,
@@ -379,9 +386,11 @@ def report_to_json(kind, target, level, seed, records) -> dict:
         "claims": [asdict(r) for r in records],
     }
     if "composite/order-log2" in computed:
+        params = {"kind": kind, "n": target}
         doc["summary"] = composite.verification_record(
             target, kind, computed["composite/order-log2"],
             computed["composite/rank"],
+            _composite_gens(params, {} if run is None else run),
         )
     return doc
 

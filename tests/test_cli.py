@@ -248,8 +248,8 @@ def test_verify_empty_report_path_exits_2(capsys):
 
 
 def test_verify_without_json_builds_no_report(capsys, monkeypatch):
-    # the summary, which builds the generating set again, is made only for
-    # --json; the exit code comes from the claim records alone
+    # the summary is made only for --json; the exit code comes from the
+    # claim records alone
     def no_report(*args):
         raise AssertionError("report built without --json")
 
@@ -261,6 +261,24 @@ def test_verify_without_json_builds_no_report(capsys, monkeypatch):
     code, out, err = run(capsys, "verify", "A", "14")
     assert (code, err) == (1, "")
     assert "FAIL composite/rank" in out
+
+
+def test_verify_report_reuses_the_runs_generating_set(capsys, monkeypatch, tmp_path):
+    # the claims and the report summary share one workspace, so the
+    # generating set is built once
+    calls = []
+    build_gens = verify.composite.build_gens
+
+    def counted(kind, n):
+        calls.append((kind, n))
+        return build_gens(kind, n)
+
+    monkeypatch.setattr(verify.composite, "build_gens", counted)
+    report = tmp_path / "a27.json"
+    code, _, err = run(capsys, "verify", "A", "27", "--level", "full", "--json", str(report))
+    assert (code, err) == (0, "")
+    assert calls == [("A", 27)]
+    assert json.loads(report.read_text())["summary"]["fixed_points"] == [27]
 
 
 def test_report_roundtrip(capsys, tmp_path):

@@ -150,7 +150,7 @@ def test_kind_dispatch_matches_the_A_and_S_functions(monkeypatch):
             with pytest.raises(ValueError, match=f"^kind must be A or S, not {kind!r}$"):
                 job(kind, 8)
         with pytest.raises(ValueError, match=f"^kind must be A or S, not {kind!r}$"):
-            verification_record(8, kind, 6, 3)
+            verification_record(8, kind, 6, 3, [])
     # the _S function is looked up when called, so a replacement is used
     monkeypatch.setattr(composite, "rank_syl2_S", lambda n: -1)
     assert composite.rank_syl2("S", 12) == -1
@@ -257,9 +257,9 @@ def test_odd_n_adds_a_fixed_1_point_block():
 
 
 def test_fixed_point_orbit():
+    # the orbit of point n - 1 is {n - 1}: every generator fixes it
     for n in (5, 7, 13):
-        G = PermGroup(n, build_gens_A(n))
-        assert G.orbit(n - 1) == {n - 1}
+        assert all(g.apply(n - 1) == n - 1 for g in build_gens_A(n))
 
 
 def test_count_sylow2_examples():
@@ -291,6 +291,11 @@ def test_boxtimes_examples():
         boxtimes_order([])
     with pytest.raises(ValueError):
         boxtimes_order([8, 8], (0,))
+    # an index outside the factors, or a bool read as one, names the index
+    with pytest.raises(ValueError, match="grouping index 5 "):
+        boxtimes_order([2, 4], (0, 5))
+    with pytest.raises(ValueError, match="grouping index True "):
+        boxtimes_order([2, 4], (0, True))
 
 
 def test_boxtimes_matches_composite_orders():
@@ -346,7 +351,8 @@ def _record(n, kind, rank_offset=0):
     params = {"kind": kind, "n": n}
     order_log2 = verify.run_claim("composite/order-log2", params).computed
     rank = verify.run_claim("composite/rank", params).computed
-    return verification_record(n, kind, order_log2, rank + rank_offset)
+    gens = composite.build_gens(kind, n)
+    return verification_record(n, kind, order_log2, rank + rank_offset, gens)
 
 
 def test_verification_record_fields_and_pass():

@@ -67,15 +67,14 @@ class ClosureGroup(PermGroup):
             transversal = self._transversals[i]
             points = list(transversal)
             for p in points:  # grows until the orbit is complete
-                up = transversal[p][0]
+                up = inv_perm(transversal[p])
                 for gi, s in enumerate(gens):
                     if s[p] not in transversal:
-                        u = mult_perm(s, up)
-                        transversal[s[p]] = (u, inv_perm(u))
+                        transversal[s[p]] = inv_perm(mult_perm(s, up))
                         points.append(s[p])
                     elif (i, p, gi) not in self._sifted:
                         self._sifted.add((i, p, gi))
-                        schreier = mult_perm(transversal[s[p]][1], mult_perm(s, up))
+                        schreier = mult_perm(transversal[s[p]], mult_perm(s, up))
                         residue, level = self._strip(schreier)  # fixes bases[:i + 1]
                         if residue != self._identity:
                             return residue, level
@@ -335,10 +334,14 @@ def test_enumeration_matches_bruteforce_membership():
     assert {e.images for e in G3.elements(100)} == bruteforce_closure(gens)
 
 
-def test_orbit():
-    G = group_from_generators(perms(["(1,2)(5,6)", "(1,3)(2,4)"], 6))
-    assert G.orbit(0) == {0, 1, 2, 3}
-    assert G.orbit(4) == {4, 5}
+def test_elements_order_is_pinned():
+    # elements() keeps its listing order; pinned without the closure
+    # reference, which shares elements() with the chain it checks
+    G = group_from_generators(perms(["(1,2,3,4)", "(1,3)"], 4))
+    assert [str(g) for g in G.elements(8)] == [
+        "e", "(2,4)", "(1,3)(2,4)", "(1,3)",
+        "(1,2,3,4)", "(1,2)(3,4)", "(1,4,3,2)", "(1,4)(2,3)",
+    ]
 
 
 # -- index-2 chains against the Schreier-Sims closure --------------------------
@@ -399,6 +402,24 @@ def _diagonal_sets(kind, k):
         [leaf_permutation(g) for g in gens]
         for gens in wreath._diagonal_candidates(kind, k)
     ]
+
+
+def test_chain_levels_store_inverse_representatives():
+    # checked on PermGroup alone, since ClosureGroup shares the format: at
+    # level i every stored u^-1 is a permutation that maps its orbit point
+    # to bases[i] and fixes bases[:i]
+    cases = [(n, composite.build_gens(kind, n)) for kind in "AS" for n in range(1, 33)]
+    cases += [(8, gens) for kind in "BG" for gens in _diagonal_sets(kind, 3)]
+    for degree, gens in cases:
+        G = PermGroup(degree, gens)
+        bases = G.base()
+        assert len(G._transversals) == len(bases)
+        for i, transversal in enumerate(G._transversals):
+            assert transversal[bases[i]] == G._identity
+            for point, u_inv in transversal.items():
+                assert sorted(u_inv) == list(range(degree))
+                assert u_inv[point] == bases[i]
+                assert all(u_inv[b] == b for b in bases[:i])
 
 
 def test_diagonal_chains_match_closure_depth_2_3():
