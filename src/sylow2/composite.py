@@ -20,7 +20,6 @@ of 1..n via the leaf numbering of each block.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from sylow2.permgroup import Permutation
@@ -264,51 +263,6 @@ def iso_4k2(sigma: Permutation) -> Permutation:
         raise ValueError(f"degree {n} is not a positive multiple of 4")
     tail = (n + 1, n) if sigma.sign() < 0 else (n, n + 1)
     return Permutation(sigma.images + tail)
-
-
-def count_sylow2_of_S(r: int) -> int:
-    """Number of Sylow 2-subgroups of the symmetric group on 2**r points:
-    the full factorial divided by the self-normalizing subgroup order."""
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    return math.factorial(1 << r) // (1 << ((1 << r) - 1))
-
-
-def boxtimes_order(orders, grouping=None) -> int:
-    """Order of an even-subdirect combination of groups.
-
-    ``grouping`` is a nested tuple of factor indices; every tuple node with
-    at least two children takes one index-2 (halving) step, so the
-    operation is deliberately not associative.  None means one flat node
-    over all factors.
-    """
-    orders = list(orders)
-    if not orders:
-        raise ValueError("empty order list")
-    if grouping is None:
-        grouping = tuple(range(len(orders)))
-    used: list[int] = []
-
-    def value(node):
-        if isinstance(node, int):
-            if isinstance(node, bool) or not 0 <= node < len(orders):
-                raise ValueError(f"grouping index {node!r} is not a factor index")
-            used.append(node)
-            return orders[node]
-        children = list(node)
-        if not children:
-            raise ValueError("empty grouping node")
-        total = math.prod(value(c) for c in children)
-        if len(children) == 1:
-            return total
-        if total % 2:
-            raise ValueError("cannot halve an odd product")
-        return total // 2
-
-    result = value(grouping)
-    if sorted(used) != list(range(len(orders))):
-        raise ValueError("grouping must use every factor exactly once")
-    return result
 
 
 def verification_record(

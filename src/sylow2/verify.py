@@ -5,9 +5,12 @@ computations: the expected value (from a closed formula or a recorded
 source) and the computed value (from the oracle or an exhaustive run).
 ``CLAIMS`` maps every claim id to both computations and the provenance tag
 of the expected side; ``verify``, ``selftest`` and the acceptance tests all
-run claims from this one table.  Reports serialize both values, so
-re-reading a report and re-running its claims must reproduce the computed
-values bit for bit.
+run claims from this one table.  The tag ``"invariant"`` marks the
+self-test claims: their params are ``{"seed": seed}`` and their expected
+value is True.  ``selftest`` runs them in table order, then
+``composite/neighbor-ratios`` for n = 3..64.  Reports serialize both
+values, so re-reading a report and re-running its claims must reproduce the
+computed values bit for bit.
 
 Report records carry: claim id, params, expected value, provenance tag,
 computed value, pass flag and wall time.  Record lists are always sorted by
@@ -18,7 +21,8 @@ values are taken from those records.  ``plan_claims`` alone decides where
 the oracle runs (kinds A and S up to n = 128, kinds B and G up to depth 7).
 
 Each claim computation also receives the workspace of its run, a plain
-dict that ``run_verification`` is given or creates once.  A generating
+dict that ``run_verification`` is given or creates once (``run_selftest``
+creates one for all its claims).  A generating
 set, its group, the group's Frattini subgroup and its derived subgroup are
 built by the first claim of the run that needs them and reused by the
 rest, so the claims of one run build each of them once.
@@ -35,7 +39,8 @@ import json
 import random
 import time
 from dataclasses import asdict, dataclass
-from itertools import chain, product
+from itertools import chain, groupby, product
+from operator import itemgetter
 from typing import Callable
 
 from sylow2 import composite, derived, permgroup, wreath
@@ -233,48 +238,6 @@ def _claim_sign_law_sample(params, run):
     return _sign_mismatches(random_portrait(rng, k) for _ in range(params["samples"]))
 
 
-CLAIMS = {
-    "composite/order-log2": Claim(_expected_order_log2, "formula", _claim_order_log2),
-    "composite/legendre-cross-check": Claim(
-        _expected_order_log2, "formula", _claim_legendre
-    ),
-    "composite/rank": Claim(
-        lambda p: composite.rank_syl2(p["kind"], p["n"]),
-        "formula",
-        _claim_frattini_quotient_log2,
-    ),
-    "composite/all-even": Claim(lambda p: True, "formula", _claim_all_even),
-    "composite/fixed-point": Claim(lambda p: p["n"], "formula", _claim_fixed_point),
-    "composite/neighbor-ratios": Claim(
-        lambda p: True, "formula", _claim_neighbor_ratios
-    ),
-    "composite/enumeration-even": Claim(
-        lambda p: True, "derived", _claim_enumeration_even
-    ),
-    "tree/order-log2": Claim(_expected_tree_order_log2, "formula", _claim_order_log2),
-    "tree/rank": Claim(lambda p: p["k"], "formula", _claim_frattini_quotient_log2),
-    "tree/frattini-quotient-log2": Claim(
-        lambda p: p["k"], "formula", _claim_frattini_quotient_log2
-    ),
-    "tree/derived-order-log2": Claim(
-        lambda p: _expected_tree_order_log2(p) - p["k"],
-        "derived",
-        _claim_derived_order_log2,
-    ),
-    "tree/w-count": Claim(
-        lambda p: wreath.order_formula(wreath.GroupKind("W", p["k"])),
-        "formula",
-        _claim_w_count,
-    ),
-    "tree/derived-matches-predicate": Claim(
-        lambda p: True, "derived", _claim_derived_match
-    ),
-    "tree/sign-law-violations": Claim(
-        lambda p: 0, "formula", _claim_sign_law_sample
-    ),
-}
-
-
 def plan_claims(kind: str, target: int, level: str, seed: int) -> list[tuple[str, dict]]:
     """Choose the claims to run for one verification target.
 
@@ -407,7 +370,7 @@ def read_report(path) -> dict:
 
 
 # --------------------------------------------------------------------------
-# self test
+# invariant claims: the self test
 # --------------------------------------------------------------------------
 
 def bruteforce_closure(gens, cap=100_000):
@@ -459,12 +422,8 @@ def non_closure_violations() -> int:
     return violations + sum(wreath.is_type_C(compose(c, c)) for c in c_elements)
 
 
-def _passes(claim, **params):
-    return run_claim(claim, params).passed
-
-
-def _check_parse_roundtrip(seed):
-    rng = random.Random(seed)
+def _check_parse_roundtrip(params, run):
+    rng = random.Random(params["seed"])
     for k in range(1, 4):
         for g in wreath.all_portraits(k):
             if parse_portrait(format_portrait(g)) != g:
@@ -485,34 +444,35 @@ def _samples(seed, arity, draw=random_portrait):
         yield tuple(draw(rng, k) for _ in range(arity))
 
 
-def _check_group_laws(seed):
+def _check_group_laws(params, run):
     return all(
         compose(g, inverse(g)) == compose(inverse(g), g) == identity(g.depth)
         and compose(identity(g.depth), h) == h == compose(h, identity(g.depth))
-        for g, h in _samples(seed, 2)
+        for g, h in _samples(params["seed"], 2)
     )
 
 
-def _check_associativity(seed):
+def _check_associativity(params, run):
     return all(
         compose(compose(a, b), c) == compose(a, compose(b, c))
-        for a, b, c in _samples(seed, 3)
+        for a, b, c in _samples(params["seed"], 3)
     )
 
 
-def _check_leaf_homomorphism(seed):
-    pairs = chain(product(wreath.all_portraits(2), repeat=2), _samples(seed, 2))
+def _check_leaf_homomorphism(params, run):
+    sampled = _samples(params["seed"], 2)
+    pairs = chain(product(wreath.all_portraits(2), repeat=2), sampled)
     return all(
         leaf_permutation(compose(g, h)) == leaf_permutation(g) * leaf_permutation(h)
         for g, h in pairs
     )
 
 
-def _check_sign_law(seed):
-    return sign_law_violations(samples=200, seed=seed) == 0
+def _check_sign_law(params, run):
+    return sign_law_violations(samples=200, seed=params["seed"]) == 0
 
 
-def _check_single_label_cycle_type(seed):
+def _check_single_label_cycle_type(params, run):
     for k in range(1, 7):
         for l in range(k):
             for j in range(1 << l):
@@ -526,8 +486,8 @@ def _check_single_label_cycle_type(seed):
     return True
 
 
-def _check_distance_isometry(seed):
-    rng = random.Random(seed)
+def _check_distance_isometry(params, run):
+    rng = random.Random(params["seed"])
     for _ in range(200):
         k = rng.randrange(2, 7)
         level = rng.randrange(1, k)
@@ -545,15 +505,15 @@ def _check_distance_isometry(seed):
     return True
 
 
-def _check_in_g_flat_vs_recursive(seed):
-    sampled = (g for (g,) in _samples(seed, 1))
+def _check_in_g_flat_vs_recursive(params, run):
+    sampled = (g for (g,) in _samples(params["seed"], 1))
     return all(
         wreath.in_G(g) == wreath.in_G_recursive(g)
         for g in chain(wreath.all_portraits(3), sampled)
     )
 
 
-def _check_in_g_even_sign(seed):
+def _check_in_g_even_sign(params, run):
     for k in (2, 3):
         for g in wreath.all_portraits(k):
             if wreath.in_G(g) != (leaf_permutation(g).sign() == 1):
@@ -561,12 +521,14 @@ def _check_in_g_even_sign(seed):
     return True
 
 
-def _check_non_closure(seed):
+def _check_non_closure(params, run):
     return non_closure_violations() == 0
 
 
-def _check_w_census(seed):
-    return all(_passes("tree/w-count", kind="G", k=k) for k in (2, 3, 4))
+def _check_w_census(params, run):
+    return all(
+        run_claim("tree/w-count", {"kind": "G", "k": k}, run).passed for k in (2, 3, 4)
+    )
 
 
 def _homomorphic(f, g, h):
@@ -574,31 +536,32 @@ def _homomorphic(f, g, h):
     return f(compose(g, h)) == tuple(a ^ b for a, b in zip(f(g), f(h)))
 
 
-def _check_abelianization(seed):
+def _check_abelianization(params, run):
     return all(
         _homomorphic(derived.abelianization_B, g, h)
         for g in wreath.all_portraits(3)
         for h in (wreath.tau(3), wreath.alpha(3, 1))
     ) and all(
         _homomorphic(derived.abelianization_G, g, h)
-        for g, h in _samples(seed, 2, _random_g_element)
+        for g, h in _samples(params["seed"], 2, _random_g_element)
     )
 
 
-def _check_squares(seed):
-    rng = random.Random(seed)
+def _check_squares(params, run):
+    rng = random.Random(params["seed"])
     return derived.squares_in_derived_check(3) and derived.squares_in_derived_check(
         6, samples=500, seed=rng.randrange(1 << 30)
     )
 
 
-def _check_derived_oracle_k3(seed):
+def _check_derived_oracle_k3(params, run):
     return all(
-        _passes("tree/derived-matches-predicate", kind=kind, k=3) for kind in "GB"
+        run_claim("tree/derived-matches-predicate", {"kind": kind, "k": 3}, run).passed
+        for kind in "GB"
     )
 
 
-def _check_order_vs_closure(seed):
+def _check_order_vs_closure(params, run):
     s4 = [permgroup.parse_cycles(t, 4) for t in ("(1,2,3,4)", "(1,2)")]
     try:  # S4 has order 24, so it is not a 2-group
         permgroup.PermGroup(4, s4)
@@ -621,8 +584,8 @@ def _check_order_vs_closure(seed):
         [leaf_permutation(g) for g in wreath.gen_set_B(3)], 512))
 
 
-def _check_congruence_multiplicative(seed):
-    rng = random.Random(seed)
+def _check_congruence_multiplicative(params, run):
+    rng = random.Random(params["seed"])
     for _ in range(100):
         n = rng.randrange(2, 21)
         layout = composite.block_layout(n)
@@ -650,46 +613,93 @@ def _check_congruence_multiplicative(seed):
     return True
 
 
-def _check_neighbor_ratios(seed):
-    return all(_passes("composite/neighbor-ratios", n=n) for n in range(3, 65))
+def _invariant(check):
+    """An invariant claim: ``check(params, run)`` holds for the seed in
+    ``params["seed"]``."""
+    return Claim(lambda p: True, "invariant", check)
 
 
-SELFTEST_CHECKS = [
-    ("portrait/parse-format-roundtrip", _check_parse_roundtrip),
-    ("portrait/group-laws", _check_group_laws),
-    ("portrait/associativity", _check_associativity),
-    ("portrait/leaf-homomorphism", _check_leaf_homomorphism),
-    ("portrait/sign-law", _check_sign_law),
-    ("portrait/single-label-cycle-type", _check_single_label_cycle_type),
-    ("portrait/distance-isometry", _check_distance_isometry),
-    ("wreath/in-G-flat-vs-recursive", _check_in_g_flat_vs_recursive),
-    ("wreath/in-G-equals-even-sign", _check_in_g_even_sign),
-    ("wreath/non-closure-of-T-and-C", _check_non_closure),
-    ("wreath/W-census", _check_w_census),
-    ("derived/abelianization-homomorphism", _check_abelianization),
-    ("derived/squares-in-derived", _check_squares),
-    ("derived/derived-oracle-equality-k3", _check_derived_oracle_k3),
-    ("permgroup/order-vs-bruteforce-closure", _check_order_vs_closure),
-    ("composite/congruence-multiplicative", _check_congruence_multiplicative),
-    ("composite/neighbor-ratios", _check_neighbor_ratios),
-]
+CLAIMS = {
+    "composite/order-log2": Claim(_expected_order_log2, "formula", _claim_order_log2),
+    "composite/legendre-cross-check": Claim(
+        _expected_order_log2, "formula", _claim_legendre
+    ),
+    "composite/rank": Claim(
+        lambda p: composite.rank_syl2(p["kind"], p["n"]),
+        "formula",
+        _claim_frattini_quotient_log2,
+    ),
+    "composite/all-even": Claim(lambda p: True, "formula", _claim_all_even),
+    "composite/fixed-point": Claim(lambda p: p["n"], "formula", _claim_fixed_point),
+    "composite/neighbor-ratios": Claim(
+        lambda p: True, "formula", _claim_neighbor_ratios
+    ),
+    "composite/enumeration-even": Claim(
+        lambda p: True, "derived", _claim_enumeration_even
+    ),
+    "tree/order-log2": Claim(_expected_tree_order_log2, "formula", _claim_order_log2),
+    "tree/rank": Claim(lambda p: p["k"], "formula", _claim_frattini_quotient_log2),
+    "tree/frattini-quotient-log2": Claim(
+        lambda p: p["k"], "formula", _claim_frattini_quotient_log2
+    ),
+    "tree/derived-order-log2": Claim(
+        lambda p: _expected_tree_order_log2(p) - p["k"],
+        "derived",
+        _claim_derived_order_log2,
+    ),
+    "tree/w-count": Claim(
+        lambda p: wreath.order_formula(wreath.GroupKind("W", p["k"])),
+        "formula",
+        _claim_w_count,
+    ),
+    "tree/derived-matches-predicate": Claim(
+        lambda p: True, "derived", _claim_derived_match
+    ),
+    "tree/sign-law-violations": Claim(
+        lambda p: 0, "formula", _claim_sign_law_sample
+    ),
+    # the self test, in the order it reports them
+    "portrait/parse-format-roundtrip": _invariant(_check_parse_roundtrip),
+    "portrait/group-laws": _invariant(_check_group_laws),
+    "portrait/associativity": _invariant(_check_associativity),
+    "portrait/leaf-homomorphism": _invariant(_check_leaf_homomorphism),
+    "portrait/sign-law": _invariant(_check_sign_law),
+    "portrait/single-label-cycle-type": _invariant(_check_single_label_cycle_type),
+    "portrait/distance-isometry": _invariant(_check_distance_isometry),
+    "wreath/in-G-flat-vs-recursive": _invariant(_check_in_g_flat_vs_recursive),
+    "wreath/in-G-equals-even-sign": _invariant(_check_in_g_even_sign),
+    "wreath/non-closure-of-T-and-C": _invariant(_check_non_closure),
+    "wreath/W-census": _invariant(_check_w_census),
+    "derived/abelianization-homomorphism": _invariant(_check_abelianization),
+    "derived/squares-in-derived": _invariant(_check_squares),
+    "derived/derived-oracle-equality-k3": _invariant(_check_derived_oracle_k3),
+    "permgroup/order-vs-bruteforce-closure": _invariant(_check_order_vs_closure),
+    "composite/congruence-multiplicative": _invariant(_check_congruence_multiplicative),
+}
 
 
 def run_selftest(seed: int = DEFAULT_SEED, out=print) -> bool:
-    """Run every named invariant check; report one line per check.
+    """Run the invariant claims with ``seed``, in table order, then
+    ``composite/neighbor-ratios`` for n = 3..64, all through ``run_claim``
+    in one shared workspace; report one line per claim id.
 
-    Each check gets the same seed and draws from its own ``random.Random``.
-    A check that raises is reported as FAIL with the exception named, and
-    the remaining checks still run.
+    Each invariant claim draws from its own ``random.Random(seed)``.  A
+    claim id passes when all its records pass, and its records stop at the
+    first one that fails.  A claim that raises is reported as FAIL with the
+    exception named, and the remaining claims still run.
     """
+    invariant = [c for c, e in CLAIMS.items() if e.provenance == "invariant"]
+    plan = [(c, {"seed": seed}) for c in invariant]
+    plan += [("composite/neighbor-ratios", {"n": n}) for n in range(3, 65)]
+    run = {}
     all_ok = True
-    for name, check in SELFTEST_CHECKS:
+    for claim, entries in groupby(plan, key=itemgetter(0)):
         note = ""
         try:
-            ok = check(seed)
+            ok = all(run_claim(claim, params, run).passed for _, params in entries)
         except Exception as exc:
             ok, note = False, f" ({type(exc).__name__}: {exc})"
-        out(f"{'ok  ' if ok else 'FAIL'} {name}{note}")
+        out(f"{'ok  ' if ok else 'FAIL'} {claim}{note}")
         if not ok:
             all_ok = False
     return all_ok

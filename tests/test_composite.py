@@ -10,12 +10,10 @@ from sylow2.composite import (
     BinaryDecomposition,
     SubdirectElement,
     block_layout,
-    boxtimes_order,
     build_gens_A,
     build_gens_S,
     build_tuples_A,
     check_congruence,
-    count_sylow2_of_S,
     decompose,
     embed,
     iso_4k2,
@@ -237,7 +235,7 @@ def test_iso_randomized_larger(n):
     assert PermGroup(n + 2, image_gens).order == order_syl2_A(n + 2)
 
 
-# -- odd n, counting, boxtimes ------------------------------------------------------
+# -- odd n, counting --------------------------------------------------------------
 
 def test_fixed_point_examples():
     for kind in "AS":
@@ -262,12 +260,6 @@ def test_fixed_point_orbit():
         assert all(g.apply(n - 1) == n - 1 for g in build_gens_A(n))
 
 
-def test_count_sylow2_examples():
-    assert count_sylow2_of_S(1) == 1
-    assert count_sylow2_of_S(2) == 3
-    assert count_sylow2_of_S(3) == 315
-
-
 def test_count_sylow2_by_enumeration_r2():
     # all Sylow 2-subgroups of the degree-4 symmetric group, located directly
     subgroups = set()
@@ -281,30 +273,6 @@ def test_count_sylow2_by_enumeration_r2():
             if H.order == 8:
                 subgroups.add(frozenset(e.images for e in H.elements(10)))
     assert len(subgroups) == 3
-
-
-def test_boxtimes_examples():
-    assert boxtimes_order([8, 8, 8]) == 8 * 8 * 8 // 2
-    assert boxtimes_order([8, 8, 8], ((0, 1), 2)) == 8 * 8 * 8 // 4
-    assert boxtimes_order([8]) == 8
-    with pytest.raises(ValueError):
-        boxtimes_order([])
-    with pytest.raises(ValueError):
-        boxtimes_order([8, 8], (0,))
-    # an index outside the factors, or a bool read as one, names the index
-    with pytest.raises(ValueError, match="grouping index 5 "):
-        boxtimes_order([2, 4], (0, 5))
-    with pytest.raises(ValueError, match="grouping index True "):
-        boxtimes_order([2, 4], (0, True))
-
-
-def test_boxtimes_matches_composite_orders():
-    # flat even-subdirect order equals the alternating-side Sylow order
-    for n in (6, 12, 14, 28):
-        factor_orders = [
-            order_syl2_S(1 << e) for e in decompose(n).exponents if e > 0
-        ]
-        assert boxtimes_order(factor_orders) == order_syl2_A(n)
 
 
 # -- order-ratio identities -----------------------------------------------------

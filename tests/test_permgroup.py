@@ -539,7 +539,7 @@ def test_oracle_imports_only_stdlib_and_kernels():
 
 CHAIN_INTERNALS = {
     "_bases", "_transversals", "_extensions", "_identity", "_strip",
-    "_contains_raw", "_extend",
+    "_extend", "_install", "_double",
 }
 
 

@@ -226,24 +226,66 @@ def test_random_g_element_flips_the_bottom_left_label():
     assert ours.random() == flipped.random()  # no extra draw
 
 
+SELFTEST_NAMES = [
+    "portrait/parse-format-roundtrip",
+    "portrait/group-laws",
+    "portrait/associativity",
+    "portrait/leaf-homomorphism",
+    "portrait/sign-law",
+    "portrait/single-label-cycle-type",
+    "portrait/distance-isometry",
+    "wreath/in-G-flat-vs-recursive",
+    "wreath/in-G-equals-even-sign",
+    "wreath/non-closure-of-T-and-C",
+    "wreath/W-census",
+    "derived/abelianization-homomorphism",
+    "derived/squares-in-derived",
+    "derived/derived-oracle-equality-k3",
+    "permgroup/order-vs-bruteforce-closure",
+    "composite/congruence-multiplicative",
+    "composite/neighbor-ratios",
+]
+
+
+@pytest.mark.parametrize("seed", ["1729", "42"])
+def test_selftest_prints_one_ok_line_per_claim_id(capsys, seed):
+    assert cli.main(["selftest", "--seed", seed]) == 0
+    out, err = capsys.readouterr()
+    assert out == "".join(f"ok   {name}\n" for name in SELFTEST_NAMES)
+    assert err == ""
+
+
+def test_selftest_groups_the_neighbor_ratio_records_into_one_line(monkeypatch,
+                                                                  capsys):
+    # off by one at n = 40 breaks the records of n = 40 and n = 41 alone
+    real = verify.composite.order_log2_syl2_A
+    monkeypatch.setattr(verify.composite, "order_log2_syl2_A",
+                        lambda n: real(n) + (n == 40))
+    assert cli.main(["selftest"]) == 1
+    out, err = capsys.readouterr()
+    want = [f"ok   {name}" for name in SELFTEST_NAMES]
+    want[-1] = "FAIL composite/neighbor-ratios"
+    assert out.splitlines() == want
+    assert err == ""
+
+
 def test_selftest_reports_a_raising_check_as_fail(monkeypatch, capsys):
     def raising(exc):
-        def check(seed):
+        def check(params, run):
             raise exc
         return check
 
-    checks = list(verify.SELFTEST_CHECKS)
     broken = {
         3: ValueError("element is not in G"),
         11: IndexError("bytearray index out of range"),
     }
     for i, exc in broken.items():
-        checks[i] = (checks[i][0], raising(exc))
-    monkeypatch.setattr(verify, "SELFTEST_CHECKS", checks)
+        monkeypatch.setitem(verify.CLAIMS, SELFTEST_NAMES[i],
+                            verify.Claim(lambda p: True, "invariant", raising(exc)))
     lines = []
     assert verify.run_selftest(out=lines.append) is False
     assert len(lines) == 17
-    for i, (name, _) in enumerate(checks):
+    for i, name in enumerate(SELFTEST_NAMES):
         if i in broken:
             exc = broken[i]
             assert lines[i] == f"FAIL {name} ({type(exc).__name__}: {exc})"
