@@ -98,13 +98,16 @@ def block_layout(n: int) -> BlockLayout:
 
 
 def embed(element: SubdirectElement) -> Permutation:
-    """Block-diagonal permutation of 1..n induced by the part portraits."""
+    """Block-diagonal permutation of 1..n induced by the part portraits.
+
+    Identity blocks and 1-point blocks are left untouched, so only the
+    blocks a part moves have their leaf action expanded."""
     images = list(range(element.layout.n))
     for part, block in zip(element.parts, element.layout.blocks):
-        if part is None:
+        if part is None or part.is_identity():
             continue
-        for i, v in enumerate(leaf_permutation(part).images):
-            images[block.offset + i] = block.offset + v
+        off = block.offset
+        images[off:off + block.size] = [off + v for v in leaf_permutation(part).images]
     return Permutation(tuple(images))
 
 

@@ -69,19 +69,18 @@ class Permutation:
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Nontrivial cycles, 0-based, each starting at its minimum."""
-        seen = [False] * self.degree
+        images = self.images
+        seen = [False] * len(images)
         out = []
-        for i in range(self.degree):
-            if seen[i] or self.images[i] == i:
-                seen[i] = True
+        for i, j in enumerate(images):
+            # a cycle is met first at its minimum, so i itself needs no mark
+            if j == i or seen[i]:
                 continue
             cyc = [i]
-            seen[i] = True
-            j = self.images[i]
             while j != i:
                 cyc.append(j)
                 seen[j] = True
-                j = self.images[j]
+                j = images[j]
             out.append(tuple(cyc))
         return out
 
@@ -94,17 +93,18 @@ class Permutation:
         return ct
 
     def sign(self) -> int:
-        """+1 for even, -1 for odd: (-1)**(n - #cycles incl. fixed points)."""
+        """+1 for even, -1 for odd: a cycle of length L is L - 1 transpositions."""
         images = self.images
-        seen = bytearray(len(images))
-        cycles = 0
-        for i in range(len(images)):
-            if not seen[i]:
-                cycles += 1
-                while not seen[i]:
-                    seen[i] = 1
-                    i = images[i]
-        return -1 if (len(images) - cycles) & 1 else 1
+        seen = [False] * len(images)
+        transpositions = 0
+        for i, j in enumerate(images):
+            if j == i or seen[i]:
+                continue
+            while j != i:
+                transpositions += 1
+                seen[j] = True
+                j = images[j]
+        return -1 if transpositions & 1 else 1
 
     def order(self) -> int:
         return math.lcm(*(len(c) for c in self.cycles()))
@@ -157,7 +157,7 @@ def format_cycles(p: Permutation) -> str:
     cycles = p.cycles()
     if not cycles:
         return "e"
-    return "".join("(" + ",".join(str(x + 1) for x in cyc) + ")" for cyc in cycles)
+    return "(" + ")(".join([",".join([str(x + 1) for x in c]) for c in cycles]) + ")"
 
 
 class PermGroup:

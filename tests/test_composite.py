@@ -31,7 +31,7 @@ from sylow2.permgroup import (
     parse_cycles,
     rank_of_2group,
 )
-from sylow2.portrait import compose, identity
+from sylow2.portrait import compose, identity, leaf_permutation
 from sylow2.wreath import alpha, tau
 
 
@@ -129,11 +129,39 @@ def test_tuples_satisfy_congruence():
             assert check_congruence(element)
 
 
+def reference_embed(element):
+    """embed by one store per point, every part expanded, identities too."""
+    images = list(range(element.layout.n))
+    for part, block in zip(element.parts, element.layout.blocks):
+        if part is not None:
+            for i, v in enumerate(leaf_permutation(part).images):
+                images[block.offset + i] = block.offset + v
+    return tuple(images)
+
+
 def test_embedding_matches_gens():
-    for n in (6, 12, 14):
-        assert [embed(t).images for t in build_tuples_A(n)] == [
-            g.images for g in build_gens_A(n)
-        ]
+    for n in [*range(1, 301), 1023, 1024, 4095, 4096]:
+        for kind in ("A", "S"):
+            assert [reference_embed(t) for t in composite.build_tuples(kind, n)] == [
+                g.images for g in composite.build_gens(kind, n)
+            ]
+
+
+@pytest.mark.parametrize("kind, expanded", [("S", 66), ("A", 120)])
+def test_embed_expands_only_moved_blocks(monkeypatch, kind, expanded):
+    # 4095 has eleven tree blocks and a 1-point one; expanding every tree
+    # block of every generator would take 726 (S) or 715 (A) calls
+    tuples = composite.build_tuples(kind, 4095)
+    calls = []
+
+    def counted(part):
+        calls.append(part)
+        return leaf_permutation(part)
+
+    monkeypatch.setattr(composite, "leaf_permutation", counted)
+    [embed(t) for t in tuples]
+    assert len(calls) == expanded
+    assert not any(part.is_identity() for part in calls)
 
 
 def test_kind_dispatch_matches_the_A_and_S_functions(monkeypatch):

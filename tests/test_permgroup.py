@@ -1,5 +1,7 @@
 import ast
+import bisect
 import inspect
+import itertools
 import random
 import sys
 from pathlib import Path
@@ -121,12 +123,74 @@ def test_parse_cycles_names_the_bad_point():
         parse_cycles("(1,2,)", 8)
 
 
+def reference_cycle_text(p):
+    """Cycle text as an index walk that marks every point it visits, then
+    one generator expression per cycle."""
+    seen = [False] * p.degree
+    cycles = []
+    for i in range(p.degree):
+        if seen[i] or p.images[i] == i:
+            seen[i] = True
+            continue
+        cyc = [i]
+        seen[i] = True
+        j = p.images[i]
+        while j != i:
+            cyc.append(j)
+            seen[j] = True
+            j = p.images[j]
+        cycles.append(tuple(cyc))
+    if not cycles:
+        return "e"
+    return "".join("(" + ",".join(str(x + 1) for x in cyc) + ")" for cyc in cycles)
+
+
+def test_cycles_edge_cases():
+    assert Permutation(()).cycles() == []
+    assert format_cycles(Permutation(())) == "e"
+    assert Permutation((0,)).cycles() == []
+    assert format_cycles(Permutation((0,))) == "e"
+    assert Permutation.identity(7).cycles() == []
+    # 0 -> 3 -> 1 -> 2 -> 0 and 4 -> 5 -> 4: each cycle starts at its minimum
+    p = Permutation((3, 2, 0, 1, 5, 4))
+    assert p.cycles() == [(0, 3, 1, 2), (4, 5)]
+    # written from 4, the cycle reaches its minimum last; the text starts at 1
+    q = parse_cycles("(4,3,2,1)", 5)
+    assert q.cycles() == [(0, 3, 2, 1)]
+    assert format_cycles(q) == "(1,4,3,2)"
+
+
+def test_cycle_text_matches_reference():
+    rng = random.Random(17)
+    samples = []
+    for degree in range(1, 301):
+        images = list(range(degree))
+        rng.shuffle(images)
+        samples.append(Permutation(tuple(images)))
+    for k in (1, 2, 3):
+        samples += [leaf_permutation(g) for g in wreath.all_portraits(k)]
+    for n in [*range(1, 301), 1023, 1024, 4095, 4096]:
+        samples += build_gens_A(n) + build_gens_S(n)
+    for p in samples:
+        assert format_cycles(p) == reference_cycle_text(p)
+
+
 # -- arithmetic ---------------------------------------------------------------
 
 def test_sign_examples():
     assert parse_cycles("(1,2)", 2).sign() == -1
     assert parse_cycles("(1,2)(7,8)", 8).sign() == 1
     assert parse_cycles("(1,2,3)", 3).sign() == 1
+
+
+def inversion_parity(images):
+    """Parity of the number of pairs i < j with images[i] > images[j]."""
+    before = []
+    inversions = 0
+    for v in images:
+        inversions += len(before) - bisect.bisect(before, v)
+        bisect.insort(before, v)
+    return inversions & 1
 
 
 def test_sign_matches_cycle_parity_random():
@@ -138,6 +202,16 @@ def test_sign_matches_cycle_parity_random():
             p = Permutation(tuple(images))
             parity = sum(len(c) - 1 for c in p.cycles()) % 2
             assert p.sign() == (-1 if parity else 1)
+    # a reference that walks no cycle: the parity of the inversion count
+    for degree in range(7):
+        for images in itertools.permutations(range(degree)):
+            sign = Permutation(images).sign()
+            assert sign == (-1 if inversion_parity(images) else 1)
+    for degree in range(1, 301):
+        images = list(range(degree))
+        rng.shuffle(images)
+        sign = Permutation(tuple(images)).sign()
+        assert sign == (-1 if inversion_parity(images) else 1)
 
 
 def test_multiply_is_left_action():
