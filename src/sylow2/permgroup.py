@@ -166,8 +166,10 @@ class PermGroup:
 
     Construction grows the chain one index-2 step at a time (Sims' method
     for solvable groups, specialised to 2-groups), which forms no Schreier
-    generators.  Generators of a group that is not a 2-group raise
-    ``ValueError``, from the constructor or from ``normal_closure``.
+    generators.  Each step makes the new element normalise the group H
+    built so far by conjugating a generating set of H, not every element
+    installed in the chain.  Generators of a group that is not a 2-group
+    raise ``ValueError``, from the constructor or from ``normal_closure``.
     Elements enter the chain only through ``_adjoin``: the constructor
     adjoins each generator, and ``normal_closure`` grows its result the same
     way before it returns the group.  ``order`` and ``contains`` are exact.
@@ -184,6 +186,10 @@ class PermGroup:
         # every installed element, in order; level i's strong generators are
         # the ones that fix bases[:i]
         self._extensions: list[tuple[int, ...]] = []
+        # a generating set of the group built so far, which _extend
+        # conjugates by; once built, the images of the generators whose
+        # _adjoin grew the group
+        self._normalisers: list[tuple[int, ...]] = []
         # per level: orbit point -> u^-1, for the coset representative u
         # with u(base) = point
         self._transversals: list[dict[int, tuple[int, ...]]] = []
@@ -212,8 +218,15 @@ class PermGroup:
 
         First make raw normalise the group H built so far, with its square
         in H: extend by the square, then by each conjugate raw.h.raw^-1 of
-        an extension element h.  Then H and raw generate a group with H at
-        index 2, and the sift at the top is reused unless H grew since.
+        an element h of ``_normalisers``, a generating set of H that grows
+        as H does; raw normalises H once it conjugates a generating set of
+        H into H.  Then H and raw generate a group with H at index 2, and
+        the sift at the top is reused unless H grew since.  Last, raw
+        takes the place of whatever nested calls appended to
+        ``_normalisers``: each such element lies in the group that raw and
+        H at entry generate, and that group is now H.  A caller's loop stands at an index below this
+        call's start, so the replacement moves no element it has yet to
+        visit.
 
         Let P be a 2-group holding raw and H, and P_j the j-th term of its
         lower exponent-2 central series.  If raw lies in P_j.H, its square
@@ -241,9 +254,10 @@ class PermGroup:
         if path.get(raw) == size:
             raise ValueError("not a 2-group: an element recurred while extending")
         path[raw] = size
+        start = len(self._normalisers)
         self._extend(mult_perm(raw, raw), depth + 1, path)
         inverse = inv_perm(raw)
-        for h in self._extensions:  # the list grows as H does
+        for h in self._normalisers:  # the list grows as H does
             conjugate = mult_perm(raw, mult_perm(h, inverse))
             if conjugate != h:
                 self._extend(conjugate, depth + 1, path)
@@ -253,6 +267,7 @@ class PermGroup:
             self._double(raw, level, inverse)
         elif residue != self._identity:  # H can swallow raw if P is no 2-group
             self._double(residue, level, inv_perm(residue))
+        self._normalisers[start:] = [raw]
 
     def _double(self, raw, level, inverse):
         """Extend by raw, which fixes bases[:level], normalises the group

@@ -430,6 +430,11 @@ def random_perms(degree, seed, count=50):
     return out
 
 
+def membership_probes(gens, randoms):
+    """The generators, products of generators, and the given randoms."""
+    return list(gens) + [a * b for a in gens[:3] for b in gens[-3:]] + randoms
+
+
 def assert_matches_closure(gens, degree, randoms):
     """Order, Frattini rank and membership of generators, of products of
     generators and of the given random permutations, all as the closure;
@@ -438,8 +443,7 @@ def assert_matches_closure(gens, degree, randoms):
     ref = ClosureGroup(degree, gens)
     assert fast.order == ref.order
     assert rank_of_2group(fast) == rank_of_2group(ref)
-    probes = list(gens) + [a * b for a in gens[:3] for b in gens[-3:]] + randoms
-    for p in probes:
+    for p in membership_probes(gens, randoms):
         assert fast.contains(p) == ref.contains(p)
     if fast.order <= 4096:
         got = {e.images for e in fast.elements(4096)}
@@ -454,13 +458,16 @@ def test_composite_chains_match_closure(n):
         assert_matches_closure(gens, n, randoms)
 
 
-@pytest.mark.parametrize("n", [8, 12, 16, 24])
-def test_random_2groups_match_closure(n):
-    # subgroups generated by random words in the Sylow 2-subgroup's
-    # generators, on points relabelled by a random permutation
+RANDOM_2GROUP_DEGREES = [8, 12, 16, 24]
+
+
+def random_2group_sets(n, randoms):
+    """Ten generating sets of subgroups generated by random words in the
+    Sylow 2-subgroup's generators, on points relabelled by a random
+    permutation."""
     rng = random.Random(n)
     sylow = build_gens_S(n)
-    randoms = random_perms(n, seed=n)
+    out = []
     for relabel in randoms[:10]:
         gens = []
         for _ in range(rng.randrange(1, 4)):
@@ -468,6 +475,14 @@ def test_random_2groups_match_closure(n):
             for _ in range(rng.randrange(1, 8)):
                 g = g * rng.choice(sylow)
             gens.append(relabel * g * relabel.inverse())
+        out.append(gens)
+    return out
+
+
+@pytest.mark.parametrize("n", RANDOM_2GROUP_DEGREES)
+def test_random_2groups_match_closure(n):
+    randoms = random_perms(n, seed=n)
+    for gens in random_2group_sets(n, randoms):
         assert_matches_closure(gens, n, randoms)
 
 
@@ -537,6 +552,123 @@ def test_diagonal_chains_match_closure_depth_4_sample():
     randoms = random_perms(16, seed=16)
     for gens in random.Random(4).sample(cases, 768):
         assert_matches_closure(gens, 16, randoms)
+
+
+# -- index-2 steps against conjugation by every installed element ------------
+
+class AllExtensionsGroup(PermGroup):
+    """The reference for the index-2 step: PermGroup's chain, with an
+    _extend that makes raw normalise H by conjugating every installed
+    element of H, not a generating set of it.  normal_closure builds
+    type(G), so Frattini and derived subgroups use it all the way down."""
+
+    def _extend(self, raw, depth, path):
+        residue, level = self._strip(raw)
+        if residue == self._identity:
+            return
+        if depth > self.degree:
+            raise ValueError("not a 2-group: index-2 nesting deeper than the degree")
+        size = len(self._extensions)
+        if path.get(raw) == size:
+            raise ValueError("not a 2-group: an element recurred while extending")
+        path[raw] = size
+        self._extend(mult_perm(raw, raw), depth + 1, path)
+        inverse = inv_perm(raw)
+        for h in self._extensions:  # the list grows as H does
+            conjugate = mult_perm(raw, mult_perm(h, inverse))
+            if conjugate != h:
+                self._extend(conjugate, depth + 1, path)
+        if len(self._extensions) > size:
+            residue, level = self._strip(raw)
+        if residue == raw:
+            self._double(raw, level, inverse)
+        elif residue != self._identity:
+            self._double(residue, level, inv_perm(residue))
+
+
+def assert_normalisers_generate(G, grew):
+    """G conjugates by exactly the images of grew, which generate G."""
+    assert G._normalisers == [g.images for g in grew]
+    assert PermGroup(G.degree, grew).order == G.order
+
+
+def assert_matches_all_extensions(gens, degree, randoms):
+    """Order, base, each level's orbit, membership of the closure probes,
+    and the order and generators of the Frattini and derived subgroups, all
+    as the reference; coset representatives may differ.  Also checks that
+    the chain conjugates by the generators whose replayed _adjoin grew the
+    group, and each normal closure by its own generators."""
+    fast = PermGroup(degree, gens)
+    ref = AllExtensionsGroup(degree, gens)
+    assert fast.order == ref.order
+    assert fast.base() == ref.base()
+    assert [sorted(t) for t in fast._transversals] == [sorted(t) for t in ref._transversals]
+    for p in membership_probes(gens, randoms):
+        assert fast.contains(p) == ref.contains(p)
+    replay = PermGroup(degree)
+    assert_normalisers_generate(fast, [g for g in gens if replay._adjoin(g.images)])
+    for subgroup in (frattini_of_2group, derived_subgroup):
+        N, M = subgroup(fast), subgroup(ref)
+        assert type(M) is AllExtensionsGroup
+        assert N.order == M.order
+        assert [g.images for g in N.generators] == [g.images for g in M.generators]
+        assert_normalisers_generate(N, N.generators)
+
+
+@pytest.mark.parametrize("kind", "AS")
+def test_composite_chains_match_all_extensions(kind):
+    for n in range(1, 65):
+        assert_matches_all_extensions(composite.build_gens(kind, n), n, random_perms(n, seed=n))
+
+
+def test_diagonal_and_random_chains_match_all_extensions():
+    randoms = {degree: random_perms(degree, seed=degree) for degree in (4, 8, 12, 16, 24)}
+    cases = [gens for kind in "BG" for k in (2, 3) for gens in _diagonal_sets(kind, k)]
+    depth4 = _diagonal_sets("B", 4) + _diagonal_sets("G", 4)
+    cases += random.Random(256).sample(depth4, 256)
+    cases += [gens for n in RANDOM_2GROUP_DEGREES for gens in random_2group_sets(n, randoms[n])]
+    assert len(cases) == 27 + 256 + 40
+    for gens in cases:
+        degree = gens[0].degree
+        assert_matches_all_extensions(gens, degree, randoms[degree])
+
+
+@pytest.mark.parametrize("kind, n, bound", [("S", 32, 700), ("A", 32, 700), ("A", 128, 6000)])
+def test_chain_build_work(monkeypatch, kind, n, bound):
+    # AllExtensionsGroup takes 1878, 1684 and 33,823 products here, and
+    # PermGroup, conjugating by a generating set of H, 548, 582 and 4606
+    calls = 0
+
+    def counting(a, b):
+        nonlocal calls
+        calls += 1
+        return mult_perm(a, b)
+
+    gens = composite.build_gens(kind, n)
+    monkeypatch.setattr(permgroup, "mult_perm", counting)
+    G = PermGroup(n, gens)
+    assert G.order == 1 << composite.order_log2_syl2(kind, n)
+    assert calls <= bound
+
+
+def test_random_sets_rejected_exactly_when_not_2groups():
+    rng = random.Random(300)
+    accepted = 0
+    for _ in range(300):
+        degree = rng.randrange(3, 8)
+        gens = []
+        for _ in range(rng.randrange(1, 4)):
+            images = list(range(degree))
+            rng.shuffle(images)
+            gens.append(Permutation(tuple(images)))
+        order = len(bruteforce_closure(gens))
+        if order & (order - 1):
+            with pytest.raises(ValueError, match="not a 2-group"):
+                PermGroup(degree, gens)
+        else:
+            assert PermGroup(degree, gens).order == order
+            accepted += 1
+    assert accepted == 69  # and 231 rejected
 
 
 @pytest.mark.parametrize(
@@ -612,8 +744,8 @@ def test_oracle_imports_only_stdlib_and_kernels():
 
 
 CHAIN_INTERNALS = {
-    "_bases", "_transversals", "_extensions", "_identity", "_strip",
-    "_extend", "_install", "_double",
+    "_bases", "_transversals", "_extensions", "_normalisers", "_identity",
+    "_strip", "_extend", "_install", "_double",
 }
 
 
