@@ -35,14 +35,6 @@ from sylow2.wreath import alpha, gen_set_B, gen_set_G
 
 
 @dataclass(frozen=True)
-class BinaryDecomposition:
-    """n as a sum of 2**e over strictly increasing exponents e."""
-
-    n: int
-    exponents: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class Block:
     exponent: int
     offset: int  # 0-based start of the block inside 1..n
@@ -81,17 +73,17 @@ class SubdirectElement:
                 )
 
 
-def decompose(n: int) -> BinaryDecomposition:
-    """Binary expansion with ascending exponents."""
+def decompose(n: int) -> tuple[int, ...]:
+    """The exponents e of n as a sum of distinct 2**e, ascending."""
     if n < 1:
         raise ValueError("n must be positive")
-    return BinaryDecomposition(n, tuple(i for i in range(n.bit_length()) if n >> i & 1))
+    return tuple(i for i in range(n.bit_length()) if n >> i & 1)
 
 
 def block_layout(n: int) -> BlockLayout:
     blocks = []
     offset = 0
-    for e in reversed(decompose(n).exponents):
+    for e in reversed(decompose(n)):
         blocks.append(Block(e, offset))
         offset += 1 << e
     return BlockLayout(n, tuple(blocks))
@@ -152,13 +144,13 @@ def order_syl2_A(n: int) -> int:
 
 
 def rank_syl2_S(n: int) -> int:
-    return sum(decompose(n).exponents)
+    return sum(decompose(n))
 
 
 def rank_syl2_A(n: int) -> int:
     """Minimal generating set size: k for a single tree block of depth k,
     one less than for S_n with two or more."""
-    trees = [e for e in decompose(n).exponents if e]  # raises for n < 1
+    trees = [e for e in decompose(n) if e]  # raises for n < 1
     if n < 4:
         return 0
     return trees[0] if len(trees) == 1 else sum(trees) - 1
@@ -279,7 +271,7 @@ def verification_record(
     expected_rank = rank_syl2(kind, n)
     all_even = all(g.sign() == 1 for g in gens)
     fixed = sorted(
-        p + 1 for p in range(n) if all(g.apply(p) == p for g in gens)
+        p + 1 for p in range(n) if all(g.images[p] == p for g in gens)
     )
     ok = (
         oracle_order_log2 == expected_order_log2
@@ -289,7 +281,7 @@ def verification_record(
     )
     return {
         "n": n,
-        "decomposition": list(decompose(n).exponents),
+        "decomposition": list(decompose(n)),
         "expected_order_log2": expected_order_log2,
         "oracle_order_log2": oracle_order_log2,
         "expected_rank": expected_rank,

@@ -63,10 +63,6 @@ class Permutation:
     def is_identity(self) -> bool:
         return all(i == v for i, v in enumerate(self.images))
 
-    def apply(self, point: int) -> int:
-        """Image of a 0-based point."""
-        return self.images[point]
-
     def cycles(self) -> list[tuple[int, ...]]:
         """Nontrivial cycles, 0-based, each starting at its minimum."""
         images = self.images
@@ -315,9 +311,6 @@ class PermGroup:
         if g.degree != self.degree:
             raise ValueError("degree mismatch")
         return self._strip(g.images)[0] == self._identity
-
-    def __contains__(self, g: Permutation) -> bool:
-        return self.contains(g)
 
     def elements(self, cap: int) -> list[Permutation]:
         """All elements, exactly once; raises ValueError above the cap."""

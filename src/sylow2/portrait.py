@@ -49,11 +49,6 @@ class Vertex:
                 f"on level {self.level}"
             )
 
-    def path(self) -> tuple[int, ...]:
-        """Root-to-vertex branch bits (0 = left subtree)."""
-        j = self.position - 1
-        return tuple((j >> (self.level - 1 - i)) & 1 for i in range(self.level))
-
 
 @dataclass(frozen=True)
 class Portrait:
@@ -97,9 +92,6 @@ class Portrait:
 
     def is_identity(self) -> bool:
         return not any(self.bits)
-
-    def __mul__(self, other: Portrait) -> Portrait:
-        return compose(self, other)
 
     def inverse(self) -> Portrait:
         return inverse(self)
@@ -157,13 +149,12 @@ def vertex_image(g: Portrait, v: Vertex) -> Vertex:
     the label at the already-traversed original prefix is set."""
     if v.level >= g.depth:
         raise ValueError(f"vertex level {v.level} outside depth-{g.depth} portrait")
-    pos = 0  # 0-based position of the image prefix, per level
-    orig = 0  # 0-based position of the original prefix
-    for i, b in enumerate(v.path()):
-        flip = g.bits[(1 << i) - 1 + orig]
-        pos = 2 * pos + (b ^ flip)
-        orig = 2 * orig + b
-    return Vertex(v.level, pos + 1)
+    j = v.position - 1  # root-to-vertex branch bits, 0 = left subtree
+    flips = 0
+    for i in range(v.level):
+        # j >> (level - i) is the 0-based position of the level-i prefix
+        flips = 2 * flips + g.bits[(1 << i) - 1 + (j >> (v.level - i))]
+    return Vertex(v.level, (j ^ flips) + 1)
 
 
 def leaf_permutation(g: Portrait) -> Permutation:

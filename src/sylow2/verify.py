@@ -169,7 +169,7 @@ def _claim_all_even(params, run):
 
 def _claim_fixed_point(params, run):
     n = params["n"]
-    fixed = all(g.apply(n - 1) == n - 1 for g in _composite_gens(params, run))
+    fixed = all(g.images[n - 1] == n - 1 for g in _composite_gens(params, run))
     return n if fixed else None
 
 
@@ -264,7 +264,7 @@ def plan_claims(kind: str, target: int, level: str, seed: int) -> list[tuple[str
             if level == "full":
                 if kind == "A" and composite.order_syl2_A(n) <= ENUMERATION_LIMIT:
                     plan.append(("composite/enumeration-even", base))
-                exps = composite.decompose(n).exponents
+                exps = composite.decompose(n)
                 if kind == "A" and len(exps) == 1 and exps[0] >= 2:
                     k = exps[0]
                     tree = {"kind": "G", "k": k}
@@ -362,11 +362,6 @@ def write_report(path, doc):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def read_report(path) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
 
 
 # --------------------------------------------------------------------------

@@ -7,7 +7,6 @@ import pytest
 from conftest import random_portrait
 from sylow2 import composite, verify
 from sylow2.composite import (
-    BinaryDecomposition,
     SubdirectElement,
     block_layout,
     build_gens_A,
@@ -38,11 +37,17 @@ from sylow2.wreath import alpha, tau
 # -- decomposition and layout --------------------------------------------------
 
 def test_decompose_examples():
-    assert decompose(28) == BinaryDecomposition(28, (2, 3, 4))
-    assert decompose(14) == BinaryDecomposition(14, (1, 2, 3))
-    assert decompose(16) == BinaryDecomposition(16, (4,))
-    with pytest.raises(ValueError):
-        decompose(0)
+    assert decompose(28) == (2, 3, 4)
+    assert decompose(14) == (1, 2, 3)
+    assert decompose(16) == (4,)
+    for n in range(1, 4097):
+        exps = decompose(n)
+        assert all(a < b for a, b in zip(exps, exps[1:]))
+        assert sum(1 << e for e in exps) == n
+        assert [b.exponent for b in block_layout(n).blocks] == list(reversed(exps))
+    for n in (0, -3):
+        with pytest.raises(ValueError):
+            decompose(n)
 
 
 def test_block_layout_covers_points_decreasing():
@@ -285,7 +290,7 @@ def test_odd_n_adds_a_fixed_1_point_block():
 def test_fixed_point_orbit():
     # the orbit of point n - 1 is {n - 1}: every generator fixes it
     for n in (5, 7, 13):
-        assert all(g.apply(n - 1) == n - 1 for g in build_gens_A(n))
+        assert all(g.images[n - 1] == n - 1 for g in build_gens_A(n))
 
 
 def test_count_sylow2_by_enumeration_r2():

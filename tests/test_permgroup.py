@@ -219,7 +219,7 @@ def test_multiply_is_left_action():
     p, q = parse_cycles("(1,2)", 3), parse_cycles("(2,3)", 3)
     assert format_cycles(p * q) == "(1,2,3)"
     for x in range(3):
-        assert (p * q).apply(x) == p.apply(q.apply(x))
+        assert (p * q).images[x] == p.images[q.images[x]]
 
 
 def test_multiply_degree_mismatch():

@@ -295,7 +295,7 @@ def test_vertex_image_root_swap():
     # i.e. level-2 position 1 goes to position 3 (checked by 8-leaf expansion)
     assert vertex_image(alpha(3, 0), Vertex(2, 1)) == Vertex(2, 3)
     lp = leaf_permutation(alpha(3, 0))
-    assert {lp.apply(0), lp.apply(1)} == {4, 5}
+    assert {lp.images[0], lp.images[1]} == {4, 5}
 
 
 def test_vertex_image_identity_and_tau():
@@ -312,19 +312,28 @@ def test_vertex_image_out_of_range():
         Vertex(1, 3)
 
 
+def _assert_vertex_image_matches_leaves(g, level, pos):
+    # every leaf under v must land under the image of v
+    k = g.depth
+    image = vertex_image(g, Vertex(level, pos + 1))
+    images = leaf_permutation(g).images
+    for leaf in range(pos << (k - level), (pos + 1) << (k - level)):
+        assert images[leaf] >> (k - level) == image.position - 1
+
+
 def test_vertex_image_consistent_with_leaf_action():
-    # a leaf under v must land under the image of v
     rng = random.Random(11)
     for _ in range(100):
         k = rng.randrange(2, 7)
         g = random_portrait(rng, k)
         level = rng.randrange(1, k)
-        pos = rng.randrange(1 << level)
-        v = Vertex(level, pos + 1)
-        image = vertex_image(g, v)
-        leaf = pos << (k - level)  # leftmost leaf under v, 0-based
-        mapped = leaf_permutation(g).apply(leaf)
-        assert mapped >> (k - level) == image.position - 1
+        _assert_vertex_image_matches_leaves(g, level, rng.randrange(1 << level))
+    # every vertex of every portrait of depth 1-3, level 0 included
+    for k in (1, 2, 3):
+        for g in all_portraits(k):
+            for level in range(k):
+                for pos in range(1 << level):
+                    _assert_vertex_image_matches_leaves(g, level, pos)
 
 
 def test_level_index_examples():
@@ -357,8 +366,8 @@ def test_section_recomposition():
             lp = leaf_permutation(g)
             target = vertex_image(g, Vertex(1, pos + 1)).position - 1
             for leaf in range(8):
-                got = lp.apply(pos * 8 + leaf)
-                assert got == target * 8 + leaf_permutation(sub).apply(leaf)
+                got = lp.images[pos * 8 + leaf]
+                assert got == target * 8 + leaf_permutation(sub).images[leaf]
 
 
 # -- distance ----------------------------------------------------------------
