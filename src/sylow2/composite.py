@@ -13,9 +13,10 @@ the largest block, and the remaining generators of the largest block are
 emitted alone.  The extra point of an odd n is a 1-point block: it carries
 no tree, so it adds nothing to a rank and every generator fixes it.
 
-The element type for the even part is a tuple of portraits, one per block
-(None for a 1-point block); ``embed`` turns such a tuple into a permutation
-of 1..n via the leaf numbering of each block.
+An element of either product is ``SubdirectElement(n, parts)``: one
+portrait per entry of ``block_layout(n)`` (None for a 1-point block), and
+``embed`` turns it into a permutation of 1..n via the leaf numbering of
+each block.
 """
 
 from __future__ import annotations
@@ -35,42 +36,22 @@ from sylow2.wreath import alpha, gen_set_B, gen_set_G
 
 
 @dataclass(frozen=True)
-class Block:
-    exponent: int
-    offset: int  # 0-based start of the block inside 1..n
-
-    @property
-    def size(self) -> int:
-        return 1 << self.exponent
-
-
-@dataclass(frozen=True)
-class BlockLayout:
-    """Contiguous blocks covering 1..n, ordered by decreasing exponent."""
+class SubdirectElement:
+    """One portrait per entry of ``block_layout(n)`` (None on 1-point blocks)."""
 
     n: int
-    blocks: tuple[Block, ...]
-
-
-@dataclass(frozen=True)
-class SubdirectElement:
-    """One portrait per block (None on 1-point blocks), largest first."""
-
-    layout: BlockLayout
     parts: tuple[Portrait | None, ...]
 
     def __post_init__(self):
-        if len(self.parts) != len(self.layout.blocks):
+        exponents = block_layout(self.n)
+        if len(self.parts) != len(exponents):
             raise ValueError("part count does not match the block layout")
-        for part, block in zip(self.parts, self.layout.blocks):
-            if block.exponent == 0:
+        for part, e in zip(self.parts, exponents):
+            if e == 0:
                 if part is not None:
                     raise ValueError("1-point blocks carry no portrait")
-            elif part is None or part.depth != block.exponent:
-                raise ValueError(
-                    f"block of size {block.size} needs a depth-{block.exponent} "
-                    "portrait"
-                )
+            elif part is None or part.depth != e:
+                raise ValueError(f"block of size {1 << e} needs a depth-{e} portrait")
 
 
 def decompose(n: int) -> tuple[int, ...]:
@@ -80,13 +61,10 @@ def decompose(n: int) -> tuple[int, ...]:
     return tuple(i for i in range(n.bit_length()) if n >> i & 1)
 
 
-def block_layout(n: int) -> BlockLayout:
-    blocks = []
-    offset = 0
-    for e in reversed(decompose(n)):
-        blocks.append(Block(e, offset))
-        offset += 1 << e
-    return BlockLayout(n, tuple(blocks))
+def block_layout(n: int) -> tuple[int, ...]:
+    """The block exponents largest first: the order of the blocks of 1..n
+    and of an element's parts."""
+    return decompose(n)[::-1]
 
 
 def embed(element: SubdirectElement) -> Permutation:
@@ -94,12 +72,15 @@ def embed(element: SubdirectElement) -> Permutation:
 
     Identity blocks and 1-point blocks are left untouched, so only the
     blocks a part moves have their leaf action expanded."""
-    images = list(range(element.layout.n))
-    for part, block in zip(element.parts, element.layout.blocks):
-        if part is None or part.is_identity():
-            continue
-        off = block.offset
-        images[off:off + block.size] = [off + v for v in leaf_permutation(part).images]
+    images = list(range(element.n))
+    off = 0
+    for part in element.parts:
+        if part is None:
+            break
+        size = 1 << part.depth
+        if not part.is_identity():
+            images[off:off + size] = [off + v for v in leaf_permutation(part).images]
+        off += size
     return Permutation(tuple(images))
 
 
@@ -156,12 +137,12 @@ def rank_syl2_A(n: int) -> int:
     return trees[0] if len(trees) == 1 else sum(trees) - 1
 
 
-def _element(layout: BlockLayout, parts: dict[int, Portrait]) -> SubdirectElement:
+def _element(n: int, parts: dict[int, Portrait]) -> SubdirectElement:
     """The element with portrait parts[i] on block i and the identity (None
     on a 1-point block) on every other block."""
-    return SubdirectElement(layout, tuple(
-        parts[i] if i in parts else identity(b.exponent) if b.exponent else None
-        for i, b in enumerate(layout.blocks)
+    return SubdirectElement(n, tuple(
+        parts[i] if i in parts else identity(e) if e else None
+        for i, e in enumerate(block_layout(n))
     ))
 
 
@@ -188,11 +169,10 @@ def build_tuples_S(n: int) -> list[SubdirectElement]:
     """Per-block single-label generators of the full (symmetric) product;
     empty for n = 1."""
     _check_gens_n(n)
-    layout = block_layout(n)
     return [
-        _element(layout, {bi: g})
-        for bi, block in enumerate(layout.blocks) if block.exponent
-        for g in gen_set_B(block.exponent)
+        _element(n, {bi: g})
+        for bi, e in enumerate(block_layout(n)) if e
+        for g in gen_set_B(e)
     ]
 
 
@@ -205,17 +185,17 @@ def build_tuples_A(n: int) -> list[SubdirectElement]:
     _check_gens_n(n)
     if n < 4:
         return []
-    layout = block_layout(n)
-    big_k = layout.blocks[0].exponent
-    if sum(b.exponent >= 1 for b in layout.blocks) == 1:
-        return [_element(layout, {0: g}) for g in gen_set_G(big_k)]
+    exponents = block_layout(n)
+    big_k = exponents[0]
+    if sum(e >= 1 for e in exponents) == 1:
+        return [_element(n, {0: g}) for g in gen_set_G(big_k)]
     pair_with = alpha(big_k, big_k - 1)
     out = [
-        _element(layout, {0: pair_with, bi: _odd_structure(block.exponent, j)})
-        for bi, block in enumerate(layout.blocks[1:], start=1)
-        for j in range(block.exponent)
+        _element(n, {0: pair_with, bi: _odd_structure(e, j)})
+        for bi, e in enumerate(exponents[1:], start=1)
+        for j in range(e)
     ]
-    out += [_element(layout, {0: alpha(big_k, j)}) for j in range(big_k - 1)]
+    out += [_element(n, {0: alpha(big_k, j)}) for j in range(big_k - 1)]
     return out
 
 

@@ -93,9 +93,6 @@ class Portrait:
     def is_identity(self) -> bool:
         return not any(self.bits)
 
-    def inverse(self) -> Portrait:
-        return inverse(self)
-
     def __str__(self) -> str:
         return format_portrait(self)
 

@@ -583,19 +583,18 @@ def _check_congruence_multiplicative(params, run):
     rng = random.Random(params["seed"])
     for _ in range(100):
         n = rng.randrange(2, 21)
-        layout = composite.block_layout(n)
         parts1, parts2 = [], []
-        for block in layout.blocks:
-            if block.exponent == 0:
+        for e in composite.block_layout(n):
+            if e == 0:
                 parts1.append(None)
                 parts2.append(None)
             else:
-                parts1.append(random_portrait(rng, block.exponent))
-                parts2.append(random_portrait(rng, block.exponent))
-        e1 = composite.SubdirectElement(layout, tuple(parts1))
-        e2 = composite.SubdirectElement(layout, tuple(parts2))
+                parts1.append(random_portrait(rng, e))
+                parts2.append(random_portrait(rng, e))
+        e1 = composite.SubdirectElement(n, tuple(parts1))
+        e2 = composite.SubdirectElement(n, tuple(parts2))
         prod = composite.SubdirectElement(
-            layout,
+            n,
             tuple(
                 None if a is None else compose(a, b)
                 for a, b in zip(parts1, parts2)

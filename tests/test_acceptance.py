@@ -15,7 +15,7 @@ from collections import Counter
 from sylow2 import derived, verify, wreath
 from sylow2.composite import build_gens_A, build_gens_S, iso_4k2, order_syl2_A
 from sylow2.permgroup import PermGroup, parse_cycles, rank_of_2group
-from sylow2.portrait import Portrait, compose
+from sylow2.portrait import Portrait, compose, inverse
 from sylow2.wreath import all_portraits
 
 A14_GENS = [
@@ -191,9 +191,9 @@ def test_criterion_13_commutator_width():
         found = set()
         for a in members:
             ab_left = a
-            a_inv = a.inverse()
+            a_inv = inverse(a)
             for b_ in members:
-                comm = compose(compose(ab_left, b_), compose(a_inv, b_.inverse()))
+                comm = compose(compose(ab_left, b_), compose(a_inv, inverse(b_)))
                 found.add(comm.bits)
         assert targets <= found
         assert all(derived.in_derived_B(Portrait(3, bits)) for bits in found)

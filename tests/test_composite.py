@@ -12,6 +12,7 @@ from sylow2.composite import (
     build_gens_A,
     build_gens_S,
     build_tuples_A,
+    build_tuples_S,
     check_congruence,
     decompose,
     embed,
@@ -44,21 +45,27 @@ def test_decompose_examples():
         exps = decompose(n)
         assert all(a < b for a, b in zip(exps, exps[1:]))
         assert sum(1 << e for e in exps) == n
-        assert [b.exponent for b in block_layout(n).blocks] == list(reversed(exps))
+        assert block_layout(n) == exps[::-1]
     for n in (0, -3):
         with pytest.raises(ValueError):
             decompose(n)
 
 
 def test_block_layout_covers_points_decreasing():
-    layout = block_layout(28)
-    assert [(b.exponent, b.offset) for b in layout.blocks] == [
-        (4, 0), (3, 16), (2, 24)
-    ]
-    layout = block_layout(7)
-    assert [(b.exponent, b.offset) for b in layout.blocks] == [
-        (2, 0), (1, 4), (0, 6)
-    ]
+    assert block_layout(28) == (4, 3, 2)
+    assert block_layout(7) == (2, 1, 0)
+
+
+def test_embed_places_blocks_largest_first():
+    for n, blocks in ((28, [range(1, 17), range(17, 25), range(25, 29)]),
+                      (7, [range(1, 5), range(5, 7)])):
+        moved = [set() for _ in blocks]
+        for t in build_tuples_S(n):
+            (bi,) = [i for i, p in enumerate(t.parts) if p and not p.is_identity()]
+            g = embed(t)
+            moved[bi] |= {p + 1 for p in range(n) if g.images[p] != p}
+        assert moved == [set(b) for b in blocks]
+    assert all(g.images[6] == 6 for g in build_gens_S(7) + build_gens_A(7))
 
 
 # -- orders and ranks -------------------------------------------------------------
@@ -135,12 +142,16 @@ def test_tuples_satisfy_congruence():
 
 
 def reference_embed(element):
-    """embed by one store per point, every part expanded, identities too."""
-    images = list(range(element.layout.n))
-    for part, block in zip(element.parts, element.layout.blocks):
+    """embed by one store per point, every part expanded, identities too,
+    each block starting where the blocks before it end."""
+    images = list(range(element.n))
+    offsets = [0]
+    for e in block_layout(element.n):
+        offsets.append(offsets[-1] + (1 << e))
+    for part, offset in zip(element.parts, offsets):
         if part is not None:
             for i, v in enumerate(leaf_permutation(part).images):
-                images[block.offset + i] = block.offset + v
+                images[offset + i] = offset + v
     return tuple(images)
 
 
@@ -190,12 +201,11 @@ def test_kind_dispatch_matches_the_A_and_S_functions(monkeypatch):
 # -- congruence -----------------------------------------------------------------
 
 def test_check_congruence_examples():
-    layout = block_layout(12)
-    all_id = SubdirectElement(layout, (identity(3), identity(2)))
+    all_id = SubdirectElement(12, (identity(3), identity(2)))
     assert check_congruence(all_id)
-    with_tau = SubdirectElement(layout, (tau(3), identity(2)))
+    with_tau = SubdirectElement(12, (tau(3), identity(2)))
     assert check_congruence(with_tau)
-    single_odd = SubdirectElement(layout, (identity(3), alpha(2, 1)))
+    single_odd = SubdirectElement(12, (identity(3), alpha(2, 1)))
     assert not check_congruence(single_odd)
 
 
@@ -203,16 +213,14 @@ def test_congruence_multiplicative_random():
     rng = random.Random(41)
     for _ in range(100):
         n = rng.randrange(2, 21)
-        layout = block_layout(n)
         pair = []
         for _ in range(2):
             parts = tuple(
-                None if b.exponent == 0 else random_portrait(rng, b.exponent)
-                for b in layout.blocks
+                None if e == 0 else random_portrait(rng, e) for e in block_layout(n)
             )
-            pair.append(SubdirectElement(layout, parts))
+            pair.append(SubdirectElement(n, parts))
         product = SubdirectElement(
-            layout,
+            n,
             tuple(
                 None if a is None else compose(a, b)
                 for a, b in zip(pair[0].parts, pair[1].parts)
@@ -224,11 +232,15 @@ def test_congruence_multiplicative_random():
 
 
 def test_subdirect_element_validation():
-    layout = block_layout(12)
-    with pytest.raises(ValueError):
-        SubdirectElement(layout, (identity(3),))
-    with pytest.raises(ValueError):
-        SubdirectElement(layout, (identity(2), identity(3)))
+    SubdirectElement(5, (identity(2), None))
+    for n, parts, message in (
+        (12, (identity(3),), "part count does not match the block layout"),
+        (12, (identity(2), identity(3)), "block of size 8 needs a depth-3 portrait"),
+        (5, (identity(2), identity(1)), "1-point blocks carry no portrait"),
+        (5, (None, None), "block of size 4 needs a depth-2 portrait"),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            SubdirectElement(n, parts)
 
 
 # -- the 4k -> 4k+2 isomorphism ----------------------------------------------------

@@ -18,6 +18,7 @@ from sylow2.portrait import (
     compose,
     format_portrait,
     identity,
+    inverse,
     leaf_permutation,
     parse_portrait,
 )
@@ -223,8 +224,8 @@ def test_commutator_width_one_small_depths():
         targets = {g.bits for g in members if in_derived_B(g)}
         found = set()
         for a in members:
-            a_inv = a.inverse()
+            a_inv = inverse(a)
             for b in members:
-                comm = compose(compose(a, b), compose(a_inv, b.inverse()))
+                comm = compose(compose(a, b), compose(a_inv, inverse(b)))
                 found.add(comm.bits)
         assert targets <= found

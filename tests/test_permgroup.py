@@ -615,12 +615,14 @@ def assert_matches_all_extensions(gens, degree, randoms):
         assert_normalisers_generate(N, N.generators)
 
 
+@pytest.mark.slow
 @pytest.mark.parametrize("kind", "AS")
 def test_composite_chains_match_all_extensions(kind):
     for n in range(1, 65):
         assert_matches_all_extensions(composite.build_gens(kind, n), n, random_perms(n, seed=n))
 
 
+@pytest.mark.slow
 def test_diagonal_and_random_chains_match_all_extensions():
     randoms = {degree: random_perms(degree, seed=degree) for degree in (4, 8, 12, 16, 24)}
     cases = [gens for kind in "BG" for k in (2, 3) for gens in _diagonal_sets(kind, k)]

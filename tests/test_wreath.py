@@ -5,7 +5,7 @@ import pytest
 
 from conftest import portrait_from_mask, random_portrait
 from sylow2.permgroup import format_cycles
-from sylow2.portrait import compose, format_portrait, identity, leaf_permutation
+from sylow2.portrait import compose, format_portrait, identity, inverse, leaf_permutation
 from sylow2.wreath import (
     GroupKind,
     all_portraits,
@@ -154,7 +154,7 @@ def test_w_is_elementary_abelian_and_normal():
             assert in_W(compose(w1, w2))
     for b in gen_set_B(3):
         for w in members:
-            assert in_W(compose(b, compose(w, b.inverse())))
+            assert in_W(compose(b, compose(w, inverse(b))))
 
 
 def test_type_T_examples():
