@@ -43,6 +43,8 @@ class SubdirectElement:
     parts: tuple[Portrait | None, ...]
 
     def __post_init__(self):
+        if not isinstance(self.parts, tuple):
+            raise ValueError(f"parts must be a tuple, got {type(self.parts).__name__}")
         exponents = block_layout(self.n)
         if len(self.parts) != len(exponents):
             raise ValueError("part count does not match the block layout")

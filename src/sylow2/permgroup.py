@@ -16,15 +16,13 @@ only and grows the chain one index-2 step at a time (Sims' method for
 solvable groups: C. C. Sims, "Computing the order of a solvable permutation
 group", J. Symb. Comput. 9, 1990), forming squares and conjugates but no
 Schreier generators.  Generators of a group that is not a 2-group raise
-``ValueError``.  Oracle claims stay at degree <= 128 (``verify.plan_claims``).
-No step is randomized, so every order or membership answer is exact, not
-Monte Carlo.
+``ValueError``.  Oracle claims stay at degree <= ``verify.ORACLE_LIMIT``
+(``verify.plan_claims``).  No step is randomized, so every order or
+membership answer is exact, not Monte Carlo.
 """
 
 from __future__ import annotations
 
-import math
-from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -60,9 +58,6 @@ class Permutation:
     def inverse(self) -> Permutation:
         return Permutation(inv_perm(self.images))
 
-    def is_identity(self) -> bool:
-        return all(i == v for i, v in enumerate(self.images))
-
     def cycles(self) -> list[tuple[int, ...]]:
         """Nontrivial cycles, 0-based, each starting at its minimum."""
         images = self.images
@@ -80,14 +75,6 @@ class Permutation:
             out.append(tuple(cyc))
         return out
 
-    def cycle_type(self) -> Counter:
-        """Multiset of cycle lengths, fixed points included."""
-        ct = Counter(len(c) for c in self.cycles())
-        ct[1] += self.degree - sum(l * m for l, m in ct.items())
-        if ct[1] == 0:
-            del ct[1]
-        return ct
-
     def sign(self) -> int:
         """+1 for even, -1 for odd: a cycle of length L is L - 1 transpositions."""
         images = self.images
@@ -102,9 +89,6 @@ class Permutation:
                 j = images[j]
         return -1 if transpositions & 1 else 1
 
-    def order(self) -> int:
-        return math.lcm(*(len(c) for c in self.cycles()))
-
     def __str__(self) -> str:
         return format_cycles(self)
 
@@ -116,9 +100,11 @@ def parse_cycles(text: str, degree: int) -> Permutation:
     """Parse disjoint-cycle notation on points 1..degree.
 
     "e", "()" and the empty product all denote the identity.  Raises
-    ValueError on repeated points, points outside 1..degree, a point not
-    written in the ASCII digits 0-9, or malformed parentheses.
+    ValueError on a negative degree, repeated points, points outside
+    1..degree, a point not in the ASCII digits 0-9, or malformed parentheses.
     """
+    if degree < 0:
+        raise ValueError(f"degree must be >= 0, got {degree}")
     stripped = text.replace(" ", "")
     if stripped in ("e", "()", ""):
         return Permutation.identity(degree)

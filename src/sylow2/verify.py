@@ -18,7 +18,8 @@ claim id, so report ordering is canonical no matter how the claims ran.
 A report has a ``summary`` (``composite.verification_record``) exactly
 when its records include the oracle order claim; the summary's oracle
 values are taken from those records.  ``plan_claims`` alone decides where
-the oracle runs (kinds A and S up to n = 128, kinds B and G up to depth 7).
+the oracle runs: on at most ``ORACLE_LIMIT`` points (n for kinds A and S,
+2**k for kinds B and G).
 
 Each claim computation also receives the workspace of its run, a plain
 dict that ``run_verification`` is given or creates once (``run_selftest``
@@ -241,11 +242,13 @@ def _claim_sign_law_sample(params, run):
 def plan_claims(kind: str, target: int, level: str, seed: int) -> list[tuple[str, dict]]:
     """Choose the claims to run for one verification target.
 
-    Raises ValueError, naming the bound, for a target outside n >= 1 (kinds
-    A and S), 1 <= k <= 7 (B) or 2 <= k <= 7 (G), and for a full A or S
-    run above the oracle limit; a quick one there plans only the formula
-    claims.
+    Raises ValueError for a level other than "quick" and "full", for a
+    target outside n >= 1 (kinds A and S), 1 <= k <= 7 (B) or 2 <= k <= 7
+    (G), naming the bound, and for a full A or S run above the oracle
+    limit; a quick one there plans only the formula claims.
     """
+    if level not in ("quick", "full"):
+        raise ValueError(f"unknown level {level!r}")
     plan = []
     if kind in ("A", "S"):
         n = target
@@ -471,12 +474,9 @@ def _check_single_label_cycle_type(params, run):
     for k in range(1, 7):
         for l in range(k):
             for j in range(1 << l):
-                ct = leaf_permutation(from_vertices(k, [Vertex(l, j + 1)])).cycle_type()
-                want = {2: 1 << (k - l - 1)}
-                fixed = (1 << k) - (1 << (k - l))
-                if fixed:
-                    want[1] = fixed
-                if dict(ct) != want:
+                # two swapped subtrees of 2**(k-l-1) leaves; the rest is fixed
+                g = leaf_permutation(from_vertices(k, [Vertex(l, j + 1)]))
+                if sorted(map(len, g.cycles())) != [2] * (1 << (k - l - 1)):
                     return False
     return True
 
@@ -672,10 +672,10 @@ CLAIMS = {
 }
 
 
-def run_selftest(seed: int = DEFAULT_SEED, out=print) -> bool:
+def run_selftest(seed: int = DEFAULT_SEED) -> bool:
     """Run the invariant claims with ``seed``, in table order, then
     ``composite/neighbor-ratios`` for n = 3..64, all through ``run_claim``
-    in one shared workspace; report one line per claim id.
+    in one shared workspace; print one line per claim id.
 
     Each invariant claim draws from its own ``random.Random(seed)``.  A
     claim id passes when all its records pass, and its records stop at the
@@ -693,7 +693,7 @@ def run_selftest(seed: int = DEFAULT_SEED, out=print) -> bool:
             ok = all(run_claim(claim, params, run).passed for _, params in entries)
         except Exception as exc:
             ok, note = False, f" ({type(exc).__name__}: {exc})"
-        out(f"{'ok  ' if ok else 'FAIL'} {claim}{note}")
+        print(f"{'ok  ' if ok else 'FAIL'} {claim}{note}")
         if not ok:
             all_ok = False
     return all_ok

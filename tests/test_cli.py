@@ -70,6 +70,12 @@ def test_gens_nonpositive_n_exits_2(capsys, kind, n):
     assert err == "error: n must be positive\n"
 
 
+@pytest.mark.parametrize("command", ["order", "rank"])
+@pytest.mark.parametrize("kind", ["A", "S"])
+def test_order_and_rank_of_zero_exit_2(capsys, command, kind):
+    assert run(capsys, command, kind, "0") == (2, "", "error: n must be positive\n")
+
+
 @pytest.mark.parametrize("kind, n", [("S", 10**20), ("A", 2**40), ("A", 2**20 + 1)])
 def test_gens_huge_n_exits_2(capsys, kind, n):
     # order/rank still answer for such n (test_order_huge_n); gens would

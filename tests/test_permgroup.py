@@ -97,7 +97,7 @@ def test_parse_cycles_examples():
     assert format_cycles(Permutation.identity(5)) == "e"
     p = parse_cycles("(1,2,3)", 8)
     assert p.images[3:] == (3, 4, 5, 6, 7)
-    assert p.order() == 3
+    assert p.cycles() == [(0, 1, 2)]
 
 
 def test_parse_cycles_roundtrip():
@@ -229,12 +229,12 @@ def test_multiply_degree_mismatch():
 
 def test_invert():
     p = parse_cycles("(1,2,3)", 4)
-    assert (p * p.inverse()).is_identity()
+    assert p * p.inverse() == Permutation.identity(4)
     assert p.inverse() == parse_cycles("(1,3,2)", 4)
 
 
 def test_cycle_type():
-    assert dict(parse_cycles("(1,2)(3,4,5)", 8).cycle_type()) == {1: 3, 2: 1, 3: 1}
+    assert parse_cycles("(1,2)(3,4,5)", 8).cycles() == [(0, 1), (2, 3, 4)]
 
 
 def test_permutation_validated():
@@ -245,6 +245,20 @@ def test_permutation_validated():
     for images in ((1, 2), (0, 0)):  # a point outside 0..n-1, a repeated image
         with pytest.raises(ValueError, match="not a bijection"):
             Permutation(images)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: parse_cycles("(1,(2)", 4), "malformed parentheses in '(1,(2)'"),
+    (lambda: parse_cycles("(1)", 4), "cycle too short in '(1)'"),
+    (lambda: parse_cycles("e", -1), "degree must be >= 0, got -1"),
+    (lambda: PermGroup(0), "degree must be positive"),
+    (lambda: group_from_generators([]), "degree required for an empty generator list"),
+    (lambda: normal_closure(PermGroup(4), [Permutation.identity(3)]), "degree mismatch"),
+])
+def test_error_texts(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
 
 
 # -- stabilizer chain ---------------------------------------------------------

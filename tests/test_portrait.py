@@ -36,6 +36,17 @@ def test_identity_is_all_zero():
     assert identity(4).is_identity()
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: Vertex(-1, 1), "level must be >= 0"),
+    (lambda: Portrait(0, b""), "depth must be >= 1 (the depth-0 tree is empty)"),
+    (lambda: identity(2).level_bits(2), "level 2 outside 0..1"),
+])
+def test_error_texts(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
 def test_depth_zero_rejected():
     with pytest.raises(ValueError):
         identity(0)
@@ -204,7 +215,7 @@ def test_associativity(triple):
 def test_leaf_permutation_examples():
     assert format_cycles(leaf_permutation(alpha(3, 0))) == "(1,5)(2,6)(3,7)(4,8)"
     assert format_cycles(leaf_permutation(tau(3))) == "(1,2)(7,8)"
-    assert leaf_permutation(identity(2)).is_identity()
+    assert leaf_permutation(identity(2)).images == (0, 1, 2, 3)
 
 
 def test_leaf_permutation_matches_recursive_oracle():
@@ -282,10 +293,9 @@ def test_single_label_cycle_type_exhaustive():
             for j in range(1 << l):
                 bits = bytearray((1 << k) - 1)
                 bits[(1 << l) - 1 + j] = 1
-                ct = leaf_permutation(Portrait(k, bytes(bits))).cycle_type()
-                assert ct[2] == 1 << (k - l - 1)
-                assert ct[1] == (1 << k) - (1 << (k - l))
-                assert sum(length * mult for length, mult in ct.items()) == 1 << k
+                g = leaf_permutation(Portrait(k, bytes(bits)))
+                assert g.degree == 1 << k
+                assert sorted(map(len, g.cycles())) == [2] * (1 << (k - l - 1))
 
 
 # -- vertex-level operations -------------------------------------------------

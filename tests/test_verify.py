@@ -3,12 +3,20 @@ import random
 import time
 from collections import Counter
 from dataclasses import asdict
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 
-from sylow2 import cli, verify
-from sylow2.portrait import Portrait, level_index, random_portrait
+from sylow2 import cli, composite, derived, permgroup, verify, wreath
+from sylow2.portrait import (
+    Portrait,
+    compose,
+    identity,
+    inverse,
+    level_index,
+    random_portrait,
+)
 
 
 def test_every_planned_claim_is_registered():
@@ -35,6 +43,19 @@ def test_quick_plan_above_oracle_limit_is_formula_only():
 def test_full_plan_above_oracle_limit_is_refused():
     with pytest.raises(ValueError, match="capped at n = 128"):
         verify.plan_claims("S", 129, "full", 1729)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: verify.plan_claims("Q", 4, "quick", 1), "unknown kind 'Q'"),
+    (lambda: verify.plan_claims("G", 3, "bogus", 1), "unknown level 'bogus'"),
+    (lambda: verify.run_verification("A", 4, "medium"), "unknown level 'medium'"),
+    (lambda: verify.bruteforce_closure(composite.build_gens_S(6), cap=10),
+     "closure cap exceeded"),
+])
+def test_error_texts(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
 
 
 @pytest.fixture
@@ -283,8 +304,8 @@ def test_selftest_reports_a_raising_check_as_fail(monkeypatch, capsys):
     for i, exc in broken.items():
         monkeypatch.setitem(verify.CLAIMS, SELFTEST_NAMES[i],
                             verify.Claim(lambda p: True, "invariant", raising(exc)))
-    lines = []
-    assert verify.run_selftest(out=lines.append) is False
+    assert verify.run_selftest() is False
+    lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 17
     for i, name in enumerate(SELFTEST_NAMES):
         if i in broken:
@@ -296,3 +317,91 @@ def test_selftest_reports_a_raising_check_as_fail(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert out.splitlines() == lines
     assert err == ""
+
+
+def _depth(text):
+    return text.count("/") + 1
+
+
+def _lenient(real):
+    """A PermGroup that keeps its chain when the generators are no 2-group."""
+    class Lenient(real):
+        def __init__(self, degree, generators=()):
+            try:
+                super().__init__(degree, generators)
+            except ValueError:
+                pass
+    return Lenient
+
+
+def _wrong(claim, owner, name, make, what):
+    """A case in which ``owner.name`` answers wrongly: ``make(real)`` builds
+    the replacement from the real attribute."""
+    return pytest.param(claim, owner, name, make, id=f"{claim}:{what}")
+
+
+# Every invariant claim must fail when the function it checks gives a wrong
+# answer, not only when a check raises.  Where a claim has two ways to fail,
+# one case reaches each.
+WRONG_ANSWERS = [
+    _wrong("portrait/parse-format-roundtrip", verify, "parse_portrait",
+           lambda real: lambda text: identity(_depth(text)), "identity"),
+    _wrong("portrait/parse-format-roundtrip", verify, "parse_portrait",
+           lambda real: lambda text: real(text) if _depth(text) <= 3
+           else identity(_depth(text)), "identity-below-depth-3"),
+    _wrong("portrait/group-laws", verify, "inverse",
+           lambda real: lambda g: g, "inverse-is-g"),
+    _wrong("portrait/associativity", verify, "compose",
+           lambda real: lambda g, h: real(g, inverse(h)), "g-times-h-inverse"),
+    _wrong("portrait/leaf-homomorphism", verify, "leaf_permutation",
+           lambda real: lambda g: real(inverse(g)), "action-of-inverse"),
+    _wrong("portrait/sign-law", permgroup.Permutation, "sign",
+           lambda real: lambda self: 1, "always-even"),
+    _wrong("portrait/single-label-cycle-type", verify, "leaf_permutation",
+           lambda real: lambda g: real(compose(g, g)), "action-of-square"),
+    _wrong("portrait/distance-isometry", verify, "distance",
+           lambda real: lambda g: max(
+               (abs(a.position - b.position)
+                for a, b in combinations(g.active_vertices(), 2)),
+               default=0,
+           ), "distance-along-the-level"),
+    _wrong("wreath/in-G-flat-vs-recursive", wreath, "in_G",
+           lambda real: lambda g: not real(g), "negated"),
+    _wrong("wreath/in-G-equals-even-sign", wreath, "in_G",
+           lambda real: lambda g: not real(g), "negated"),
+    _wrong("wreath/non-closure-of-T-and-C", verify, "compose",
+           lambda real: lambda g, h: g, "left-operand"),
+    _wrong("wreath/W-census", wreath, "in_W",
+           lambda real: lambda g: not real(g), "negated"),
+    _wrong("derived/abelianization-homomorphism", derived, "abelianization_B",
+           lambda real: lambda g: tuple(
+               min(level_index(g, l), 1) for l in range(g.depth)
+           ), "level-nonempty"),
+    _wrong("derived/squares-in-derived", derived, "in_derived_B",
+           lambda real: lambda g: False, "B-never"),
+    _wrong("derived/squares-in-derived", derived, "in_derived_G",
+           lambda real: lambda g: False, "G-never"),
+    _wrong("derived/derived-oracle-equality-k3", derived, "in_derived_B",
+           lambda real: lambda g: False, "B-never"),
+    _wrong("permgroup/order-vs-bruteforce-closure", verify, "bruteforce_closure",
+           lambda real: lambda gens, cap: set(sorted(real(gens, cap))[1:]),
+           "closure-drops-one"),
+    _wrong("permgroup/order-vs-bruteforce-closure", permgroup, "PermGroup",
+           _lenient, "accepts-non-2-groups"),
+    _wrong("composite/congruence-multiplicative", composite, "check_congruence",
+           lambda real: lambda e: sum(
+               level_index(p, p.depth - 1) for p in e.parts if p
+           ) % 4 == 0, "count-mod-4"),
+]
+
+
+@pytest.mark.parametrize("claim, owner, name, make", WRONG_ANSWERS)
+def test_invariant_claim_fails_on_a_wrong_answer(monkeypatch, claim, owner, name,
+                                                  make):
+    monkeypatch.setattr(owner, name, make(getattr(owner, name)))
+    assert verify.run_claim(claim, {"seed": 1729}).passed is False
+
+
+def test_every_invariant_claim_has_a_wrong_answer():
+    invariant = {c for c, e in verify.CLAIMS.items() if e.provenance == "invariant"}
+    assert {case.values[0] for case in WRONG_ANSWERS} == invariant

@@ -299,6 +299,10 @@ def test_diagonal_base_counts_closed_forms():
     (lambda: in_W(identity(1)), "W needs depth >= 2"),
     (lambda: is_type_T(identity(1)), "type T needs depth >= 2"),
     (lambda: is_type_C(identity(1)), "type C needs depth >= 2"),
+    (lambda: tau_at(1, [1]), "depth must be >= 2"),
+    (lambda: gen_set_G(1), "G needs depth >= 2"),
+    (lambda: in_G_recursive(identity(1)), "G is undefined at depth 1"),
+    (lambda: leaf_group([]), "no generators"),
 ])
 def test_error_texts(call, message):
     with pytest.raises(ValueError) as info:
