@@ -87,7 +87,8 @@ def embed(element: SubdirectElement) -> Permutation:
 
 
 def check_congruence(element: SubdirectElement) -> bool:
-    """Parity congruence: the bottom-level label counts sum to 0 mod 2."""
+    """Parity congruence: the bottom-level label counts sum to 0 mod 2,
+    exactly when ``embed(element)`` is even (the self test checks this)."""
     total = 0
     for part in element.parts:
         if part is not None:

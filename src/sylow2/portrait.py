@@ -188,24 +188,17 @@ def section(g: Portrait, v: Vertex) -> Portrait:
 
 def distance(g: Portrait) -> int:
     """Maximal tree distance between two active vertices (0 if fewer than
-    two are active)."""
-    active = g.active_vertices()
+    two are active).
+
+    Vertex h = label index + 1 is on level h.bit_length() - 1 and h >> d is
+    its ancestor d levels up: two vertices cut to one level differ in as
+    many low bits as there are levels up to their lowest common ancestor."""
+    active = [h for h, bit in enumerate(g.bits, 1) if bit]  # in level order
     best = 0
-    for a in range(len(active)):
-        la, ja = active[a].level, active[a].position - 1
-        for b in range(a + 1, len(active)):
-            lb, jb = active[b].level, active[b].position - 1
-            lc = min(la, lb)
-            pa, pb = ja >> (la - lc), jb >> (lb - lc)
-            # climb to the lowest common ancestor
-            common = lc
-            while pa != pb:
-                pa >>= 1
-                pb >>= 1
-                common -= 1
-            d = (la - common) + (lb - common)
-            if d > best:
-                best = d
+    for i, a in enumerate(active):
+        for b in active[i + 1:]:
+            drop = b.bit_length() - a.bit_length()  # b is no shallower than a
+            best = max(best, drop + 2 * (a ^ (b >> drop)).bit_length())
     return best
 
 

@@ -31,7 +31,8 @@ rest, so the claims of one run build each of them once.
 the run's generating set, and ``sylow2 verify`` builds the summary only
 when ``--json`` asks for a report.  Nothing outlives the run:
 ``run_claim``, ``run_verification`` and ``report_to_json`` without a
-workspace and ``recompute`` start from an empty one.
+workspace and ``recompute`` start from an empty one.  A report is user
+input: ``recompute`` refuses with ValueError a record that no plan makes.
 """
 
 from __future__ import annotations
@@ -334,8 +335,27 @@ def run_verification(kind: str, target: int, level: str = "quick",
 
 def recompute(record: dict):
     """Re-run one serialized claim record alone, in a fresh workspace;
-    returns the fresh computed value."""
-    return CLAIMS[record["claim"]].compute(record["params"], {})
+    returns the fresh computed value.
+
+    A record is user input, so it runs only if a plan makes it: a record
+    with a kind must be in ``plan_claims`` at either level (the full one
+    only up to ``ORACLE_LIMIT``), any other in the self-test plan.  Raises
+    ValueError, before any computation, for every other record."""
+    claim, params = record["claim"], record["params"]
+    if claim not in CLAIMS:
+        raise ValueError(f"unknown claim {claim!r}")
+    seed = params.get("seed", DEFAULT_SEED)
+    if "kind" not in params:
+        plans = [_selftest_plan(seed)]
+    else:
+        target = params.get("n", params.get("k"))
+        if type(target) is not int:
+            raise ValueError(f"{claim} needs an integer n or k, got {target!r}")
+        levels = ("quick", "full") if target <= ORACLE_LIMIT else ("quick",)
+        plans = [plan_claims(params["kind"], target, lv, seed) for lv in levels]
+    if not any((claim, params) in plan for plan in plans):
+        raise ValueError(f"no plan makes {claim} with params {params}")
+    return CLAIMS[claim].compute(params, {})
 
 
 def report_to_json(kind, target, level, seed, records, run=None) -> dict:
@@ -580,29 +600,19 @@ def _check_order_vs_closure(params, run):
 
 
 def _check_congruence_multiplicative(params, run):
+    """The congruence holds exactly when the embedded permutation is even,
+    on 100 seeded pairs and their products; as the sign is a homomorphism,
+    this makes the congruence multiplicative."""
     rng = random.Random(params["seed"])
     for _ in range(100):
         n = rng.randrange(2, 21)
-        parts1, parts2 = [], []
-        for e in composite.block_layout(n):
-            if e == 0:
-                parts1.append(None)
-                parts2.append(None)
-            else:
-                parts1.append(random_portrait(rng, e))
-                parts2.append(random_portrait(rng, e))
-        e1 = composite.SubdirectElement(n, tuple(parts1))
-        e2 = composite.SubdirectElement(n, tuple(parts2))
-        prod = composite.SubdirectElement(
-            n,
-            tuple(
-                None if a is None else compose(a, b)
-                for a, b in zip(parts1, parts2)
-            ),
-        )
-        if composite.check_congruence(prod) != (
-            composite.check_congruence(e1) == composite.check_congruence(e2)
-        ):
+        pairs = [(random_portrait(rng, e), random_portrait(rng, e)) if e
+                 else (None, None) for e in composite.block_layout(n)]
+        g, h = (composite.SubdirectElement(n, parts) for parts in zip(*pairs))
+        gh = composite.SubdirectElement(n, tuple(
+            None if a is None else compose(a, b) for a, b in pairs))
+        if any(composite.check_congruence(e) != (composite.embed(e).sign() == 1)
+               for e in (g, h, gh)):
             return False
     return True
 
@@ -672,6 +682,13 @@ CLAIMS = {
 }
 
 
+def _selftest_plan(seed):
+    """The self test's claims and params, in the order it runs them."""
+    invariant = [c for c, e in CLAIMS.items() if e.provenance == "invariant"]
+    return [(c, {"seed": seed}) for c in invariant] + [
+        ("composite/neighbor-ratios", {"n": n}) for n in range(3, 65)]
+
+
 def run_selftest(seed: int = DEFAULT_SEED) -> bool:
     """Run the invariant claims with ``seed``, in table order, then
     ``composite/neighbor-ratios`` for n = 3..64, all through ``run_claim``
@@ -682,12 +699,9 @@ def run_selftest(seed: int = DEFAULT_SEED) -> bool:
     first one that fails.  A claim that raises is reported as FAIL with the
     exception named, and the remaining claims still run.
     """
-    invariant = [c for c, e in CLAIMS.items() if e.provenance == "invariant"]
-    plan = [(c, {"seed": seed}) for c in invariant]
-    plan += [("composite/neighbor-ratios", {"n": n}) for n in range(3, 65)]
     run = {}
     all_ok = True
-    for claim, entries in groupby(plan, key=itemgetter(0)):
+    for claim, entries in groupby(_selftest_plan(seed), key=itemgetter(0)):
         note = ""
         try:
             ok = all(run_claim(claim, params, run).passed for _, params in entries)

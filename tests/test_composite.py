@@ -230,6 +230,9 @@ def test_congruence_multiplicative_random():
         assert check_congruence(product) == (
             check_congruence(pair[0]) == check_congruence(pair[1])
         )
+        # the congruence cuts out the even part: it is the sign of the embedding
+        for element in (*pair, product):
+            assert check_congruence(element) == (embed(element).sign() == 1)
 
 
 def test_subdirect_element_validation():

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, strategies as st
@@ -388,6 +389,35 @@ def test_distance_examples():
     assert distance(identity(5)) == 0
     assert distance(parse_portrait("0/11")) == 2
     assert distance(parse_portrait("1/00")) == 0  # single active vertex
+
+
+def _distance_reference(g):
+    """Deepest shared (level, position) ancestor of each pair, from sets."""
+    def ancestors(v):
+        j = v.position - 1
+        return {(l, (j >> (v.level - l)) + 1) for l in range(v.level + 1)}
+
+    active = [(v.level, ancestors(v)) for v in g.active_vertices()]
+    return max(
+        (la + lb - 2 * max(l for l, _ in sa & sb)
+         for (la, sa), (lb, sb) in combinations(active, 2)),
+        default=0,
+    )
+
+
+def test_distance_matches_ancestor_set_reference():
+    for k in (1, 2, 3):
+        for g in all_portraits(k):
+            assert distance(g) == _distance_reference(g)
+    rng = random.Random(37)
+    for _ in range(2000):
+        k = rng.randrange(4, 10)
+        # a few active vertices anywhere, so that every distance occurs
+        g = from_vertices(k, [
+            Vertex(l, rng.randrange(1 << l) + 1)
+            for l in (rng.randrange(k) for _ in range(rng.randrange(8)))
+        ])
+        assert distance(g) == _distance_reference(g)
 
 
 def test_distance_isometry_random():

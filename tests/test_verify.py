@@ -2,7 +2,7 @@ import json
 import random
 import time
 from collections import Counter
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from itertools import combinations
 from pathlib import Path
 
@@ -388,6 +388,12 @@ WRONG_ANSWERS = [
            "closure-drops-one"),
     _wrong("permgroup/order-vs-bruteforce-closure", permgroup, "PermGroup",
            _lenient, "accepts-non-2-groups"),
+    # a constant answer is multiplicative too, so the claim must compare the
+    # congruence with the sign of the embedded permutation to catch these
+    _wrong("composite/congruence-multiplicative", composite, "check_congruence",
+           lambda real: lambda e: True, "always-true"),
+    _wrong("composite/congruence-multiplicative", composite, "check_congruence",
+           lambda real: lambda e: False, "always-false"),
     _wrong("composite/congruence-multiplicative", composite, "check_congruence",
            lambda real: lambda e: sum(
                level_index(p, p.depth - 1) for p in e.parts if p
@@ -405,3 +411,30 @@ def test_invariant_claim_fails_on_a_wrong_answer(monkeypatch, claim, owner, name
 def test_every_invariant_claim_has_a_wrong_answer():
     invariant = {c for c, e in verify.CLAIMS.items() if e.provenance == "invariant"}
     assert {case.values[0] for case in WRONG_ANSWERS} == invariant
+
+
+@pytest.mark.parametrize("record, message", [
+    ({"claim": "nope", "params": {}}, "unknown claim 'nope'"),
+    ({"claim": "composite/order-log2", "params": {"kind": "Q", "n": 4}},
+     "unknown kind 'Q'"),
+    # above the oracle limit only the quick plan counts, and it has no rank
+    ({"claim": "composite/rank", "params": {"kind": "A", "n": 200}},
+     "no plan makes composite/rank with params {'kind': 'A', 'n': 200}"),
+    ({"claim": "tree/sign-law-violations",
+      "params": {"kind": "B", "k": 3, "seed": 1729, "samples": 10**9}},
+     "no plan makes tree/sign-law-violations with params "
+     "{'kind': 'B', 'k': 3, 'seed': 1729, 'samples': 1000000000}"),
+    ({"claim": "composite/rank", "params": {"kind": "A"}},
+     "composite/rank needs an integer n or k, got None"),
+])
+def test_recompute_refuses_a_record_no_plan_makes(monkeypatch, record, message):
+    def no_computation(params, run):
+        raise AssertionError("computed before the record was checked")
+
+    monkeypatch.setattr(verify, "CLAIMS", {
+        claim: replace(entry, compute=no_computation)
+        for claim, entry in verify.CLAIMS.items()
+    })
+    with pytest.raises(ValueError) as err:
+        verify.recompute(record)
+    assert str(err.value) == message
