@@ -6,17 +6,16 @@ coordinate is counted on the first half of the last level instead.  Derived
 membership is the kernel of these maps, and so is Frattini membership in G,
 whose Frattini quotient is therefore elementary abelian of rank k.
 
-All predicates here are pure label arithmetic; the oracle-side suites in
-the tests rebuild the same subgroups from generator squares and commutators
-and compare elementwise.
+The module holds label predicates only.  The oracle-side suites in the
+tests rebuild the same subgroups from generator squares and commutators and
+compare elementwise; that squares fall in the derived subgroup is the
+``derived/squares-in-derived`` claim of ``verify.CLAIMS``.
 """
 
 from __future__ import annotations
 
-import random
-
-from sylow2.portrait import DEFAULT_SEED, Portrait, compose, level_index, random_portrait
-from sylow2.wreath import all_portraits, bottom_halves, in_G
+from sylow2.portrait import Portrait, level_index
+from sylow2.wreath import bottom_halves, in_G
 
 
 def abelianization_B(g: Portrait) -> tuple[int, ...]:
@@ -63,24 +62,3 @@ def in_frattini_G(g: Portrait) -> bool:
     the commutators here)."""
     return not any(abelianization_G(g))
 
-
-def squares_in_derived_check(k: int, samples: int = 10_000,
-                             seed: int = DEFAULT_SEED) -> bool:
-    """Check that squares land in the derived subgroup.
-
-    Exhaustive over all depth-k portraits for k <= 3; sampled otherwise.
-    Covers both statements: g**2 passes the B criterion for every g, and
-    the G criterion for every g in G.
-    """
-    if k <= 3:
-        population = all_portraits(k)
-    else:
-        rng = random.Random(seed)
-        population = (random_portrait(rng, k) for _ in range(samples))
-    for g in population:
-        sq = compose(g, g)
-        if not in_derived_B(sq):
-            return False
-        if in_G(g) and not in_derived_G(sq):
-            return False
-    return True

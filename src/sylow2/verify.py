@@ -5,12 +5,12 @@ computations: the expected value (from a closed formula or a recorded
 source) and the computed value (from the oracle or an exhaustive run).
 ``CLAIMS`` maps every claim id to both computations and the provenance tag
 of the expected side; ``verify``, ``selftest`` and the acceptance tests all
-run claims from this one table.  The tag ``"invariant"`` marks the
-self-test claims: their params are ``{"seed": seed}`` and their expected
-value is True.  ``selftest`` runs them in table order, then
-``composite/neighbor-ratios`` for n = 3..64.  Reports serialize both
-values, so re-reading a report and re-running its claims must reproduce the
-computed values bit for bit.
+run claims from this one table, and each invariant check has no body but
+its entry there.  The tag ``"invariant"`` marks the self-test claims:
+their params are ``{"seed": seed}`` and their expected value is True.
+``selftest`` runs them in table order, then ``composite/neighbor-ratios``
+for n = 3..64.  Reports serialize both values, so re-reading a report and
+re-running its claims must reproduce the computed values bit for bit.
 
 Report records carry: claim id, params, expected value, provenance tag,
 computed value, pass flag and wall time.  Record lists are always sorted by
@@ -338,22 +338,31 @@ def recompute(record: dict):
     returns the fresh computed value.
 
     A record is user input, so it runs only if a plan makes it: a record
-    with a kind must be in ``plan_claims`` at either level (the full one
-    only up to ``ORACLE_LIMIT``), any other in the self-test plan.  Raises
-    ValueError, before any computation, for every other record."""
+    with a kind must be in ``plan_claims`` at the full level up to
+    ``ORACLE_LIMIT`` and at the quick level above it (the quick plan is
+    part of the full one), any other in the self-test plan.  Raises
+    ValueError, before any computation, for every other record and for a
+    record that is not a dict with a claim id, a params dict and an integer
+    seed."""
+    if not (isinstance(record, dict) and "claim" in record and "params" in record):
+        raise ValueError(f"a record needs a claim and params, got {record!r}")
     claim, params = record["claim"], record["params"]
-    if claim not in CLAIMS:
+    if not isinstance(claim, str) or claim not in CLAIMS:
         raise ValueError(f"unknown claim {claim!r}")
+    if not isinstance(params, dict):
+        raise ValueError(f"{claim} params must be a dict, got {params!r}")
     seed = params.get("seed", DEFAULT_SEED)
+    if type(seed) is not int:
+        raise ValueError(f"{claim} needs an integer seed, got {seed!r}")
     if "kind" not in params:
-        plans = [_selftest_plan(seed)]
+        plan = _selftest_plan(seed)
     else:
         target = params.get("n", params.get("k"))
         if type(target) is not int:
             raise ValueError(f"{claim} needs an integer n or k, got {target!r}")
-        levels = ("quick", "full") if target <= ORACLE_LIMIT else ("quick",)
-        plans = [plan_claims(params["kind"], target, lv, seed) for lv in levels]
-    if not any((claim, params) in plan for plan in plans):
+        level = "full" if target <= ORACLE_LIMIT else "quick"
+        plan = plan_claims(params["kind"], target, level, seed)
+    if (claim, params) not in plan:
         raise ValueError(f"no plan makes {claim} with params {params}")
     return CLAIMS[claim].compute(params, {})
 
@@ -416,30 +425,6 @@ def bruteforce_closure(gens, cap=100_000):
     return seen
 
 
-def sign_law_violations(samples: int, seed: int) -> int:
-    """Sign-law failures over every portrait of depth 1 to 3, plus the
-    ``tree/sign-law-violations`` claim on seeded depth-8 samples."""
-    exhaustive = (g for k in (1, 2, 3) for g in wreath.all_portraits(k))
-    sampled = {"kind": "B", "k": 8, "seed": seed, "samples": samples}
-    return (
-        _sign_mismatches(exhaustive)
-        + run_claim("tree/sign-law-violations", sampled).computed
-    )
-
-
-def non_closure_violations() -> int:
-    """Depth-3 products breaking non-closure: a product of two type-T
-    elements that is type T or type C, or a type-C square that is type C."""
-    portraits = list(wreath.all_portraits(3))
-    t_elements = [g for g in portraits if wreath.is_type_T(g)]
-    c_elements = [g for g in portraits if wreath.is_type_C(g)]
-    violations = sum(
-        wreath.is_type_T(p) or wreath.is_type_C(p)
-        for p in (compose(t1, t2) for t1 in t_elements for t2 in t_elements)
-    )
-    return violations + sum(wreath.is_type_C(compose(c, c)) for c in c_elements)
-
-
 def _check_parse_roundtrip(params, run):
     rng = random.Random(params["seed"])
     for k in range(1, 4):
@@ -487,7 +472,12 @@ def _check_leaf_homomorphism(params, run):
 
 
 def _check_sign_law(params, run):
-    return sign_law_violations(samples=200, seed=params["seed"]) == 0
+    """Every portrait of depth 1 to 3, then the ``tree/sign-law-violations``
+    claim on 200 seeded depth-8 samples."""
+    exhaustive = (g for k in (1, 2, 3) for g in wreath.all_portraits(k))
+    sampled = {"kind": "B", "k": 8, "seed": params["seed"], "samples": 200}
+    violations = _sign_mismatches(exhaustive)
+    return violations + run_claim("tree/sign-law-violations", sampled).computed == 0
 
 
 def _check_single_label_cycle_type(params, run):
@@ -537,7 +527,16 @@ def _check_in_g_even_sign(params, run):
 
 
 def _check_non_closure(params, run):
-    return non_closure_violations() == 0
+    """No product of two depth-3 type-T elements is type T or type C, and
+    no square of a type-C element is type C."""
+    portraits = list(wreath.all_portraits(3))
+    t_elements = [g for g in portraits if wreath.is_type_T(g)]
+    c_elements = [g for g in portraits if wreath.is_type_C(g)]
+    violations = sum(
+        wreath.is_type_T(p) or wreath.is_type_C(p)
+        for p in (compose(t1, t2) for t1 in t_elements for t2 in t_elements)
+    )
+    return violations + sum(wreath.is_type_C(compose(c, c)) for c in c_elements) == 0
 
 
 def _check_w_census(params, run):
@@ -563,10 +562,16 @@ def _check_abelianization(params, run):
 
 
 def _check_squares(params, run):
-    rng = random.Random(params["seed"])
-    return derived.squares_in_derived_check(3) and derived.squares_in_derived_check(
-        6, samples=500, seed=rng.randrange(1 << 30)
-    )
+    """g**2 passes the B criterion for every g, and the G criterion for
+    every g in G: every portrait of depth 2 and 3, then 500 depth-6 draws."""
+    rng = random.Random(random.Random(params["seed"]).randrange(1 << 30))
+    sampled = (random_portrait(rng, 6) for _ in range(500))
+    for g in chain(wreath.all_portraits(2), wreath.all_portraits(3), sampled):
+        sq = compose(g, g)
+        if not derived.in_derived_B(sq) or (
+                wreath.in_G(g) and not derived.in_derived_G(sq)):
+            return False
+    return True
 
 
 def _check_derived_oracle_k3(params, run):

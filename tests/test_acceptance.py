@@ -109,10 +109,10 @@ def test_criterion_04_commutator_criterion():
 
 
 def test_criterion_05_squares():
-    assert derived.squares_in_derived_check(3) is True
-    assert derived.squares_in_derived_check(6, samples=10_000, seed=505) is True
-    report(5, "all 128 depth-3 squares and 10^4 random depth-6 squares have "
-              "even indexes everywhere")
+    for seed in range(505, 525):  # 500 depth-6 draws per seed
+        assert claim("derived/squares-in-derived", seed=seed) is True
+    report(5, "all 8 depth-2 and 128 depth-3 squares and 10^4 random depth-6 "
+              "squares have even indexes everywhere")
 
 
 def test_criterion_06_frattini_quotient():
@@ -122,7 +122,9 @@ def test_criterion_06_frattini_quotient():
 
 
 def test_criterion_07_sign_law():
-    assert verify.sign_law_violations(samples=10_000, seed=707) == 0
+    assert claim("portrait/sign-law", seed=707) is True
+    assert claim("tree/sign-law-violations", kind="B", k=8, seed=707,
+                 samples=10_000) == 0
     report(7, "leaf sign equals bottom-level index parity, exhaustively to "
               "depth 3 and on 10^4 random depth-8 portraits")
 
@@ -164,7 +166,7 @@ def test_criterion_10_order_ratios():
 
 
 def test_criterion_11_non_closure():
-    assert verify.non_closure_violations() == 0
+    assert claim("wreath/non-closure-of-T-and-C", seed=1729) is True
     report(11, "no product of two odd-half elements stays odd-half; no "
                "square of a combined element stays combined")
 

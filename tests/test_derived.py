@@ -10,7 +10,6 @@ from sylow2.derived import (
     in_derived_B,
     in_derived_G,
     in_frattini_G,
-    squares_in_derived_check,
 )
 from sylow2.permgroup import derived_subgroup, frattini_of_2group
 from sylow2.portrait import (
@@ -22,6 +21,7 @@ from sylow2.portrait import (
     leaf_permutation,
     parse_portrait,
 )
+from sylow2.verify import run_claim
 from sylow2.wreath import all_portraits, alpha, gen_set_B, gen_set_G, in_G, leaf_group, tau
 
 
@@ -105,12 +105,14 @@ def test_root_label_alone_is_outside_derived():
 # -- squares -------------------------------------------------------------------
 
 def test_squares_exhaustive_small():
-    assert squares_in_derived_check(2)
-    assert squares_in_derived_check(3)
+    # every square of depth 2 and 3, then 500 depth-6 draws
+    assert run_claim("derived/squares-in-derived", {"seed": 1729}).passed
 
 
 def test_squares_sampled_k6():
-    assert squares_in_derived_check(6, samples=2000, seed=99)
+    # 4 seeds of 500 depth-6 draws each
+    for seed in range(99, 103):
+        assert run_claim("derived/squares-in-derived", {"seed": seed}).passed
 
 
 # -- abelianization --------------------------------------------------------------

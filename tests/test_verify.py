@@ -357,6 +357,10 @@ WRONG_ANSWERS = [
            lambda real: lambda g: real(inverse(g)), "action-of-inverse"),
     _wrong("portrait/sign-law", permgroup.Permutation, "sign",
            lambda real: lambda self: 1, "always-even"),
+    # only the exhaustive half, depth <= 3, sees this one
+    _wrong("portrait/sign-law", verify, "level_index",
+           lambda real: lambda g, l: real(g, l) + (g.depth <= 3),
+           "off-by-one-to-depth-3"),
     _wrong("portrait/single-label-cycle-type", verify, "leaf_permutation",
            lambda real: lambda g: real(compose(g, g)), "action-of-square"),
     _wrong("portrait/distance-isometry", verify, "distance",
@@ -381,6 +385,9 @@ WRONG_ANSWERS = [
            lambda real: lambda g: False, "B-never"),
     _wrong("derived/squares-in-derived", derived, "in_derived_G",
            lambda real: lambda g: False, "G-never"),
+    # only the sampled half, depth 6, sees this one
+    _wrong("derived/squares-in-derived", derived, "in_derived_B",
+           lambda real: lambda g: real(g) and g.depth != 6, "B-never-at-depth-6"),
     _wrong("derived/derived-oracle-equality-k3", derived, "in_derived_B",
            lambda real: lambda g: False, "B-never"),
     _wrong("permgroup/order-vs-bruteforce-closure", verify, "bruteforce_closure",
@@ -426,6 +433,22 @@ def test_every_invariant_claim_has_a_wrong_answer():
      "{'kind': 'B', 'k': 3, 'seed': 1729, 'samples': 1000000000}"),
     ({"claim": "composite/rank", "params": {"kind": "A"}},
      "composite/rank needs an integer n or k, got None"),
+    ({"claim": "composite/rank", "params": [1]},
+     "composite/rank params must be a dict, got [1]"),
+    ({"claim": ["composite/rank"], "params": {}},
+     "unknown claim ['composite/rank']"),
+    ({"params": {}}, "a record needs a claim and params, got {'params': {}}"),
+    ({"claim": "composite/rank"},
+     "a record needs a claim and params, got {'claim': 'composite/rank'}"),
+    (["composite/rank", {}],
+     "a record needs a claim and params, got ['composite/rank', {}]"),
+    ({"claim": "portrait/sign-law", "params": {"seed": None}},
+     "portrait/sign-law needs an integer seed, got None"),
+    ({"claim": "portrait/sign-law", "params": {"seed": True}},
+     "portrait/sign-law needs an integer seed, got True"),
+    ({"claim": "tree/sign-law-violations",
+      "params": {"kind": "B", "k": 3, "seed": "1729", "samples": 2000}},
+     "tree/sign-law-violations needs an integer seed, got '1729'"),
 ])
 def test_recompute_refuses_a_record_no_plan_makes(monkeypatch, record, message):
     def no_computation(params, run):
@@ -438,3 +461,13 @@ def test_recompute_refuses_a_record_no_plan_makes(monkeypatch, record, message):
     with pytest.raises(ValueError) as err:
         verify.recompute(record)
     assert str(err.value) == message
+
+
+def test_quick_plan_is_part_of_the_full_plan():
+    # recompute plans only the full level up to the oracle limit
+    targets = [(kind, n) for kind in "AS" for n in range(1, 129)]
+    targets += [("B", k) for k in range(1, 8)] + [("G", k) for k in range(2, 8)]
+    for kind, target in targets:
+        quick = verify.plan_claims(kind, target, "quick", 1729)
+        full = verify.plan_claims(kind, target, "full", 1729)
+        assert all(item in full for item in quick)
