@@ -16,7 +16,7 @@ no tree, so it adds nothing to a rank and every generator fixes it.
 An element of either product is ``SubdirectElement(n, parts)``: one
 portrait per entry of ``block_layout(n)`` (None for a 1-point block), and
 ``embed`` turns it into a permutation of 1..n via the leaf numbering of
-each block.
+each block, expanding only the subtree under a part's active labels.
 """
 
 from __future__ import annotations
@@ -31,6 +31,8 @@ from sylow2.portrait import (
     identity,
     leaf_permutation,
     level_index,
+    moved_subtree,
+    section,
 )
 from sylow2.wreath import alpha, gen_set_B, gen_set_G
 
@@ -72,17 +74,22 @@ def block_layout(n: int) -> tuple[int, ...]:
 def embed(element: SubdirectElement) -> Permutation:
     """Block-diagonal permutation of 1..n induced by the part portraits.
 
-    Identity blocks and 1-point blocks are left untouched, so only the
-    blocks a part moves have their leaf action expanded."""
+    A part fixes every leaf outside ``moved_subtree(part)`` and acts inside
+    it as its section there, so only that subtree's leaf action is
+    expanded; identity blocks and 1-point blocks are left untouched."""
     images = list(range(element.n))
     off = 0
     for part in element.parts:
         if part is None:
             break
-        size = 1 << part.depth
-        if not part.is_identity():
-            images[off:off + size] = [off + v for v in leaf_permutation(part).images]
-        off += size
+        v = moved_subtree(part)
+        if v is not None:
+            height = part.depth - v.level
+            start = off + ((v.position - 1) << height)
+            images[start:start + (1 << height)] = [
+                start + x for x in leaf_permutation(section(part, v)).images
+            ]
+        off += 1 << part.depth
     return Permutation(tuple(images))
 
 

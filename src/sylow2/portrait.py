@@ -186,6 +186,29 @@ def section(g: Portrait, v: Vertex) -> Portrait:
     return Portrait(sub_depth, bytes(out))
 
 
+def moved_subtree(g: Portrait) -> Vertex | None:
+    """Root of the smallest subtree holding every active label of g, or None
+    for the identity.  g fixes every leaf outside that subtree and acts
+    inside it as its section there.
+
+    Vertex j of level l covers the leaves [j << (k - l), (j + 1) << (k - l));
+    the subtree wanted is rooted at the common prefix of the path bits of
+    the first and the last leaf that any active vertex covers."""
+    k = g.depth
+    lo, hi = 1 << k, 0
+    for l in range(k):
+        start = (1 << l) - 1
+        first = g.bits.find(1, start, start + (1 << l))
+        if first >= 0:
+            last = g.bits.rfind(1, start, start + (1 << l))
+            lo = min(lo, (first - start) << (k - l))
+            hi = max(hi, (last - start + 1) << (k - l))
+    if not hi:
+        return None
+    level = k - (lo ^ (hi - 1)).bit_length()
+    return Vertex(level, (lo >> (k - level)) + 1)
+
+
 def distance(g: Portrait) -> int:
     """Maximal tree distance between two active vertices (0 if fewer than
     two are active).

@@ -6,7 +6,7 @@ from itertools import permutations
 import pytest
 
 from conftest import random_portrait
-from sylow2 import composite, verify
+from sylow2 import composite, portrait, verify
 from sylow2.composite import (
     SubdirectElement,
     block_layout,
@@ -25,6 +25,7 @@ from sylow2.composite import (
     two_part_of_factorial,
     verification_record,
 )
+from sylow2.kernels import leaf_images
 from sylow2.permgroup import (
     PermGroup,
     Permutation,
@@ -32,7 +33,7 @@ from sylow2.permgroup import (
     parse_cycles,
     rank_of_2group,
 )
-from sylow2.portrait import compose, identity, leaf_permutation
+from sylow2.portrait import Vertex, compose, from_vertices, identity, leaf_permutation
 from sylow2.wreath import alpha, tau
 
 
@@ -162,6 +163,44 @@ def test_embedding_matches_gens():
             assert [reference_embed(t) for t in composite.build_tuples(kind, n)] == [
                 g.images for g in composite.build_gens(kind, n)
             ]
+
+
+def test_embed_matches_full_block_expansion():
+    # the generating tuples for n = 1..300, 1023, 1024, 4095 and 4096 go
+    # through reference_embed in test_embedding_matches_gens; here random
+    # elements with sparse, identity and root-labelled parts
+    rng = random.Random(47)
+    for _ in range(2000):
+        n = rng.randrange(1, 300)
+        parts = []
+        for e in block_layout(n):
+            if not e:
+                parts.append(None)
+                continue
+            vertices = [Vertex(l, rng.randrange(1 << l) + 1)
+                        for l in (rng.randrange(e) for _ in range(rng.randrange(3)))]
+            if rng.randrange(4) == 0:
+                vertices.append(Vertex(0, 1))
+            parts.append(from_vertices(e, vertices))
+        element = SubdirectElement(n, tuple(parts))
+        assert embed(element).images == reference_embed(element)
+
+
+@pytest.mark.parametrize("kind, n, leaves", [("S", 4095, 8166), ("A", 4096, 12284)])
+def test_embed_expands_only_moved_subtrees(monkeypatch, kind, n, leaves):
+    # a generator moves the leaves below one vertex per part it labels; the
+    # whole blocks would take 40,962 (S 4095) and 49,152 (A 4096) leaves
+    tuples = composite.build_tuples(kind, n)
+    expanded = 0
+
+    def counted(k, labels):
+        nonlocal expanded
+        expanded += 1 << k
+        return leaf_images(k, labels)
+
+    monkeypatch.setattr(portrait, "leaf_images", counted)
+    [embed(t) for t in tuples]
+    assert expanded == leaves
 
 
 @pytest.mark.parametrize("kind, expanded", [("S", 66), ("A", 120)])

@@ -667,6 +667,26 @@ def test_chain_build_work(monkeypatch, kind, n, bound):
     assert calls <= bound
 
 
+@pytest.mark.parametrize("kind, n, bound", [
+    ("A", 32, 1291), ("S", 32, 1412), ("A", 128, 19517), ("S", 128, 19964),
+])
+def test_frattini_closure_work(monkeypatch, kind, n, bound):
+    # today's products, conjugating raw by every element adjoined so far; a
+    # closure that keeps the subgroup normal at every step should take fewer
+    calls = 0
+
+    def counting(a, b):
+        nonlocal calls
+        calls += 1
+        return mult_perm(a, b)
+
+    G = PermGroup(n, composite.build_gens(kind, n))
+    monkeypatch.setattr(permgroup, "mult_perm", counting)
+    F = frattini_of_2group(G)
+    assert F.order == G.order >> composite.rank_syl2(kind, n)
+    assert calls <= bound
+
+
 def test_random_sets_rejected_exactly_when_not_2groups():
     rng = random.Random(300)
     accepted = 0

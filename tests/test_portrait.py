@@ -22,6 +22,7 @@ from sylow2.portrait import (
     inverse,
     leaf_permutation,
     level_index,
+    moved_subtree,
     parse_portrait,
     section,
     vertex_image,
@@ -379,6 +380,72 @@ def test_section_recomposition():
             for leaf in range(8):
                 got = lp.images[pos * 8 + leaf]
                 assert got == target * 8 + leaf_permutation(sub).images[leaf]
+
+
+# -- moved subtree -----------------------------------------------------------
+
+def _sparse_portraits(seed, count):
+    """Depth 4..12 portraits with 0..4 active vertices, all below one
+    random vertex, so that the subtree holding them is often deep."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        k = rng.randrange(4, 13)
+        top = rng.randrange(k)
+        first = rng.randrange(1 << top)  # 0-based position of the shared root
+        vertices = []
+        for _ in range(rng.randrange(5)):
+            l = rng.randrange(top, k)
+            j = (first << (l - top)) + rng.randrange(1 << (l - top))
+            vertices.append(Vertex(l, j + 1))
+        yield from_vertices(k, vertices)
+
+
+def _moved_subtree_reference(g):
+    """Deepest vertex that is an ancestor of, or equal to, every active
+    vertex, from ancestor sets."""
+    def ancestors(v):
+        j = v.position - 1
+        return {Vertex(l, (j >> (v.level - l)) + 1) for l in range(v.level + 1)}
+
+    common = None
+    for v in g.active_vertices():
+        common = ancestors(v) if common is None else common & ancestors(v)
+    return None if common is None else max(common, key=lambda v: v.level)
+
+
+def test_moved_subtree_examples():
+    assert moved_subtree(identity(4)) is None
+    assert moved_subtree(tau(3)) == Vertex(0, 1)
+    assert moved_subtree(alpha(5, 2)) == Vertex(2, 1)
+    assert moved_subtree(parse_portrait("0/00/0110")) == Vertex(0, 1)
+    assert moved_subtree(parse_portrait("0/00/1100")) == Vertex(1, 1)
+    assert moved_subtree(parse_portrait("0/01/0001")) == Vertex(1, 2)
+    assert moved_subtree(parse_portrait("0/00/0001")) == Vertex(2, 4)
+
+
+def test_moved_subtree_matches_ancestor_set_reference():
+    cases = [g for k in (1, 2, 3) for g in all_portraits(k)]
+    assert len(cases) == 138
+    cases += _sparse_portraits(41, 2000)
+    for g in cases:
+        assert moved_subtree(g) == _moved_subtree_reference(g)
+
+
+def test_leaf_action_lies_in_the_moved_subtree():
+    # outside the subtree every leaf is fixed; inside, g acts as its section
+    for g in [*all_portraits(3), *_sparse_portraits(43, 500)]:
+        images = leaf_permutation(g).images
+        v = moved_subtree(g)
+        if v is None:
+            assert images == tuple(range(1 << g.depth))
+            continue
+        height = g.depth - v.level
+        start = (v.position - 1) << height
+        inside = range(start, start + (1 << height))
+        assert all(images[x] == x for x in range(len(images)) if x not in inside)
+        assert images[start:start + (1 << height)] == tuple(
+            start + x for x in leaf_permutation(section(g, v)).images
+        )
 
 
 # -- distance ----------------------------------------------------------------
