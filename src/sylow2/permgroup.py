@@ -15,10 +15,15 @@ a derived or Frattini subgroup of one), so ``PermGroup`` accepts 2-groups
 only and grows the chain one index-2 step at a time (Sims' method for
 solvable groups: C. C. Sims, "Computing the order of a solvable permutation
 group", J. Symb. Comput. 9, 1990), forming squares and conjugates but no
-Schreier generators.  Generators of a group that is not a 2-group raise
-``ValueError``.  Oracle claims stay at degree <= ``verify.ORACLE_LIMIT``
-(``verify.plan_claims``).  No step is randomized, so every order or
-membership answer is exact, not Monte Carlo.
+Schreier generators.  ``normal_closure`` grows its result N by the same
+index-2 steps, keeping N normal in G at every one: an element of G is
+adjoined after its square and its commutator with each generator of G, so
+each step costs one commutator per generator of G, the usual way p-group
+algorithms grow a normal subgroup down a central series (Holt, Eick and
+O'Brien, *Handbook of Computational Group Theory*, 2005).  Generators of a
+group that is not a 2-group raise ``ValueError``.  Oracle claims stay at
+degree <= ``verify.ORACLE_LIMIT`` (``verify.plan_claims``).  No step is
+randomized, so every order or membership answer is exact, not Monte Carlo.
 """
 
 from __future__ import annotations
@@ -93,6 +98,10 @@ class Permutation:
         return format_cycles(self)
 
     def __repr__(self) -> str:
+        # cycles() never returns on images that are not a bijection, and a
+        # traceback reprs the instance whose validation failed
+        if sorted(self.images) != list(range(self.degree)):
+            return f"Permutation(images={self.images!r})"
         return f"Permutation({format_cycles(self)!r}, degree={self.degree})"
 
 
@@ -150,11 +159,13 @@ class PermGroup:
     for solvable groups, specialised to 2-groups), which forms no Schreier
     generators.  Each step makes the new element normalise the group H
     built so far by conjugating a generating set of H, not every element
-    installed in the chain.  Generators of a group that is not a 2-group
-    raise ``ValueError``, from the constructor or from ``normal_closure``.
-    Elements enter the chain only through ``_adjoin``: the constructor
-    adjoins each generator, and ``normal_closure`` grows its result the same
-    way before it returns the group.  ``order`` and ``contains`` are exact.
+    installed in the chain; in a normal closure in G it takes the
+    commutators with G's generators instead, so that H stays normal in G.
+    Generators of a group that is not a 2-group raise ``ValueError``, from
+    the constructor or from ``normal_closure``.  Elements enter the chain
+    only through ``_adjoin``: the constructor adjoins each generator, and
+    ``normal_closure`` adjoins each seed the same way, with G's generators
+    as the ambient set, before it returns the group.  ``order`` and ``contains`` are exact.
     Instances are immutable once returned and safe to query concurrently.
     """
 
@@ -183,38 +194,58 @@ class PermGroup:
 
     # -- construction ----------------------------------------------------
 
-    def _adjoin(self, raw) -> bool:
-        """Extend the chain with one permutation; True if the group grew."""
-        size = len(self._extensions)
+    def _adjoin(self, raw, ambient=()) -> list:
+        """Extend the chain with one permutation; return the elements whose
+        index-2 steps grew the group, which generate it together with the
+        group before (none when raw was a member).
+
+        ``ambient`` holds pairs (g, g^-1) for the generators of a 2-group G
+        that contains raw and in which the group is normal; the group then
+        stays normal in G at every step (see ``_extend``).
+        """
+        start = len(self._normalisers)
         try:
-            self._extend(raw, 0, {})
+            self._extend(raw, 0, {}, ambient)
         except RecursionError:
             raise ValueError(
                 "index-2 extensions nested beyond the interpreter's "
                 "recursion limit; the generators may not form a 2-group"
             ) from None
-        return len(self._extensions) > size
+        return self._normalisers[start:]
 
-    def _extend(self, raw, depth, path):
+    def _extend(self, raw, depth, path, ambient):
         """Add raw by index-2 steps; a member returns at once.
 
         First make raw normalise the group H built so far, with its square
-        in H: extend by the square, then by each conjugate raw.h.raw^-1 of
-        an element h of ``_normalisers``, a generating set of H that grows
-        as H does; raw normalises H once it conjugates a generating set of
-        H into H.  Then H and raw generate a group with H at index 2, and
-        the sift at the top is reused unless H grew since.  Last, raw
-        takes the place of whatever nested calls appended to
-        ``_normalisers``: each such element lies in the group that raw and
-        H at entry generate, and that group is now H.  A caller's loop stands at an index below this
-        call's start, so the replacement moves no element it has yet to
-        visit.
+        in H, by extending with the square and then with more elements;
+        then H and raw generate a group with H at index 2, and the sift at
+        the top is reused unless H grew since.  Which elements come second
+        depends on the mode:
 
-        Let P be a 2-group holding raw and H, and P_j the j-th term of its
-        lower exponent-2 central series.  If raw lies in P_j.H, its square
-        and its conjugates lie in P_(j+1).H, so each nested call moves one
-        term down.  Two rules stop generators that are not a 2-group, whose
-        nesting never ends:
+        - Chain build (no ambient set): each conjugate raw.h.raw^-1 of an
+          element h of ``_normalisers``, a generating set of H that grows
+          as H does; raw normalises H once it conjugates a generating set
+          of H into H.  Last, raw takes the place of whatever nested calls
+          appended to ``_normalisers``.  Each such element lies in the
+          group that raw and H at entry generate, and that group is now H.
+          A caller's loop stands at an index below this call's start, so
+          the replacement moves no element it has yet to visit.
+        - Normal closure (ambient pairs (g, g^-1) for the generators of a
+          group G that holds raw and in which H is normal): each
+          commutator [raw, g] = raw.g.raw^-1.g^-1.  raw normalises H
+          because H is normal in G, and once H holds these commutators,
+          g.raw.g^-1 = [g, raw].raw lies in the group that H and raw
+          generate, so that group is normal in G again.  The commutators
+          need not lie in that group, so raw is appended to
+          ``_normalisers`` after whatever nested calls appended, and only
+          if its step grew H.
+
+        Let P be a 2-group holding raw and H (G itself in a normal
+        closure), and P_j the j-th term of its lower exponent-2 central
+        series.  If raw lies in P_j.H, its square, its conjugates and its
+        commutators with P lie in P_(j+1).H, since [P_j, P] lies in
+        P_(j+1); so each nested call moves one term down.  Two rules stop
+        generators that are not a 2-group, whose nesting never ends:
 
         - The series has fewer terms than the degree, so nesting deeper
           than the degree proves P is not a 2-group.
@@ -237,19 +268,27 @@ class PermGroup:
             raise ValueError("not a 2-group: an element recurred while extending")
         path[raw] = size
         start = len(self._normalisers)
-        self._extend(mult_perm(raw, raw), depth + 1, path)
+        self._extend(mult_perm(raw, raw), depth + 1, path, ambient)
         inverse = inv_perm(raw)
-        for h in self._normalisers:  # the list grows as H does
-            conjugate = mult_perm(raw, mult_perm(h, inverse))
-            if conjugate != h:
-                self._extend(conjugate, depth + 1, path)
+        if ambient:
+            for g, g_inv in ambient:
+                commutator = mult_perm(raw, mult_perm(g, mult_perm(inverse, g_inv)))
+                self._extend(commutator, depth + 1, path, ambient)
+        else:
+            for h in self._normalisers:  # the list grows as H does
+                conjugate = mult_perm(raw, mult_perm(h, inverse))
+                if conjugate != h:
+                    self._extend(conjugate, depth + 1, path, ambient)
         if len(self._extensions) > size:  # H grew, so the top sift is stale
             residue, level = self._strip(raw)
         if residue == raw:  # the sift moved nothing
             self._double(raw, level, inverse)
         elif residue != self._identity:  # H can swallow raw if P is no 2-group
             self._double(residue, level, inv_perm(residue))
-        self._normalisers[start:] = [raw]
+        if not ambient:
+            self._normalisers[start:] = [raw]
+        elif residue != self._identity:
+            self._normalisers.append(raw)
 
     def _double(self, raw, level, inverse):
         """Extend by raw, which fixes bases[:level], normalises the group
@@ -323,19 +362,22 @@ def group_from_generators(gens, degree: int | None = None) -> PermGroup:
 
 
 def normal_closure(G: PermGroup, seeds) -> PermGroup:
-    """Smallest subgroup containing the seeds and normalized by G."""
-    N = type(G)(G.degree)
-    gen_pairs = [(g.images, inv_perm(g.images)) for g in G.generators]
-    queue = []
+    """Smallest subgroup containing the seeds and normalized by G.
+
+    Every seed must lie in G; one that does not raises ``ValueError``.  The
+    result N is grown by ``_adjoin`` with G's generators as the ambient set,
+    so N is normal in G after every index-2 step and no conjugate of a seed
+    needs adjoining.  ``N.generators`` lists the elements whose steps grew
+    N; they generate it.
+    """
+    seeds = list(seeds)
     for s in seeds:
-        if s.degree != G.degree:
-            raise ValueError("degree mismatch")
-        queue.append(s.images)
-    while queue:
-        raw = queue.pop()
-        if N._adjoin(raw):
-            N.generators.append(Permutation(raw))
-            queue.extend(mult_perm(h, mult_perm(raw, h_inv)) for h, h_inv in gen_pairs)
+        if not G.contains(s):  # which checks the degree first
+            raise ValueError("seed is not in G")
+    N = type(G)(G.degree)
+    ambient = [(g.images, inv_perm(g.images)) for g in G.generators]
+    for s in seeds:
+        N.generators += map(Permutation, N._adjoin(s.images, ambient))
     return N
 
 

@@ -44,19 +44,29 @@ S4_GENS = ["(1,2,3,4)", "(1,2)"]
 class ClosureGroup(PermGroup):
     """The reference: PermGroup's chain and queries, built by the
     deterministic Schreier-Sims closure, so any group is accepted.  Frattini,
-    derived and rank use it all the way down: normal_closure builds type(G)."""
+    derived and rank use it all the way down: normal_closure builds type(G).
+    With an ambient set, _adjoin also adjoins the conjugates by it of every
+    element that grew the group, so normal closures are true ones in any
+    group, not only in a 2-group."""
 
     def __init__(self, degree, generators=()):
         self._sifted = set()  # (level, point, generator index) done
         super().__init__(degree, generators)
 
-    def _adjoin(self, raw):
-        size = len(self._extensions)
-        residue, level = self._strip(raw)
-        while residue != self._identity:
-            self._install(residue, level)
-            residue, level = self._unsifted_schreier_generator()
-        return len(self._extensions) > size
+    def _adjoin(self, raw, ambient=()):
+        grew = []
+        queue = [raw]
+        while queue:
+            raw = queue.pop()
+            residue, level = self._strip(raw)
+            if residue == self._identity:
+                continue
+            while residue != self._identity:
+                self._install(residue, level)
+                residue, level = self._unsifted_schreier_generator()
+            grew.append(raw)
+            queue.extend(mult_perm(g, mult_perm(raw, g_inv)) for g, g_inv in ambient)
+        return grew
 
     def _unsifted_schreier_generator(self):
         """Residue and stuck level of the first Schreier generator that does
@@ -235,6 +245,15 @@ def test_invert():
 
 def test_cycle_type():
     assert parse_cycles("(1,2)(3,4,5)", 8).cycles() == [(0, 1), (2, 3, 4)]
+
+
+def test_repr_of_images_that_failed_validation():
+    # a traceback reprs the instance whose __post_init__ raised; the cycle
+    # walk would never return on images that are not a bijection
+    p = object.__new__(Permutation)
+    object.__setattr__(p, "images", (1, 2, 1))
+    assert repr(p) == "Permutation(images=(1, 2, 1))"
+    assert repr(parse_cycles("(1,3)", 4)) == "Permutation('(1,3)', degree=4)"
 
 
 def test_permutation_validated():
@@ -573,10 +592,13 @@ def test_diagonal_chains_match_closure_depth_4_sample():
 class AllExtensionsGroup(PermGroup):
     """The reference for the index-2 step: PermGroup's chain, with an
     _extend that makes raw normalise H by conjugating every installed
-    element of H, not a generating set of it.  normal_closure builds
+    element of H, not a generating set of it, in both modes.  With an
+    ambient set it then extends by the commutators with it as PermGroup
+    does, so a normal closure that let H stop being normal in the ambient
+    group would grow here where PermGroup's does not.  normal_closure builds
     type(G), so Frattini and derived subgroups use it all the way down."""
 
-    def _extend(self, raw, depth, path):
+    def _extend(self, raw, depth, path, ambient):
         residue, level = self._strip(raw)
         if residue == self._identity:
             return
@@ -586,18 +608,26 @@ class AllExtensionsGroup(PermGroup):
         if path.get(raw) == size:
             raise ValueError("not a 2-group: an element recurred while extending")
         path[raw] = size
-        self._extend(mult_perm(raw, raw), depth + 1, path)
+        start = len(self._normalisers)
+        self._extend(mult_perm(raw, raw), depth + 1, path, ambient)
         inverse = inv_perm(raw)
         for h in self._extensions:  # the list grows as H does
             conjugate = mult_perm(raw, mult_perm(h, inverse))
             if conjugate != h:
-                self._extend(conjugate, depth + 1, path)
+                self._extend(conjugate, depth + 1, path, ambient)
+        for g, g_inv in ambient:
+            commutator = mult_perm(raw, mult_perm(g, mult_perm(inverse, g_inv)))
+            self._extend(commutator, depth + 1, path, ambient)
         if len(self._extensions) > size:
             residue, level = self._strip(raw)
         if residue == raw:
             self._double(raw, level, inverse)
         elif residue != self._identity:
             self._double(residue, level, inv_perm(residue))
+        if not ambient:
+            self._normalisers[start:] = [raw]
+        elif residue != self._identity:
+            self._normalisers.append(raw)
 
 
 def assert_normalisers_generate(G, grew):
@@ -667,12 +697,8 @@ def test_chain_build_work(monkeypatch, kind, n, bound):
     assert calls <= bound
 
 
-@pytest.mark.parametrize("kind, n, bound", [
-    ("A", 32, 1291), ("S", 32, 1412), ("A", 128, 19517), ("S", 128, 19964),
-])
-def test_frattini_closure_work(monkeypatch, kind, n, bound):
-    # today's products, conjugating raw by every element adjoined so far; a
-    # closure that keeps the subgroup normal at every step should take fewer
+def closure_products(monkeypatch, closure, G):
+    """The closure of G and the mult_perm calls it took."""
     calls = 0
 
     def counting(a, b):
@@ -680,11 +706,96 @@ def test_frattini_closure_work(monkeypatch, kind, n, bound):
         calls += 1
         return mult_perm(a, b)
 
+    with monkeypatch.context() as patch:
+        patch.setattr(permgroup, "mult_perm", counting)
+        N = closure(G)
+    return N, calls
+
+
+# mult_perm calls of Phi(G) and G' for the Sylow 2-subgroup's generators: the
+# parameter is what the conjugate queue (queue_normal_closure) took, the
+# table what keeping N normal in G at every step, one commutator per
+# generator of G, takes
+FRATTINI_PRODUCTS = {("A", 32): 825, ("S", 32): 865, ("A", 128): 10371, ("S", 128): 10270}
+DERIVED_PRODUCTS = {("A", 32): 820, ("S", 32): 860, ("A", 128): 10364, ("S", 128): 10263}
+
+
+@pytest.mark.parametrize("kind, n, queue_products", [
+    ("A", 32, 1291), ("S", 32, 1412), ("A", 128, 19517), ("S", 128, 19964),
+])
+def test_frattini_closure_work(monkeypatch, kind, n, queue_products):
     G = PermGroup(n, composite.build_gens(kind, n))
-    monkeypatch.setattr(permgroup, "mult_perm", counting)
-    F = frattini_of_2group(G)
+    F, calls = closure_products(monkeypatch, frattini_of_2group, G)
     assert F.order == G.order >> composite.rank_syl2(kind, n)
-    assert calls <= bound
+    assert calls <= FRATTINI_PRODUCTS[kind, n] < queue_products
+
+
+@pytest.mark.parametrize("kind, n, queue_products", [
+    ("A", 32, 1286), ("S", 32, 1407), ("A", 128, 19510), ("S", 128, 19957),
+])
+def test_derived_closure_work(monkeypatch, kind, n, queue_products):
+    # these Sylow 2-subgroups have an elementary abelian abelianisation, so
+    # P' is Phi(P)
+    G = PermGroup(n, composite.build_gens(kind, n))
+    D, calls = closure_products(monkeypatch, derived_subgroup, G)
+    assert D.order == G.order >> composite.rank_syl2(kind, n)
+    assert calls <= DERIVED_PRODUCTS[kind, n] < queue_products
+
+
+# -- normal closures against the conjugate queue ------------------------------
+
+def queue_normal_closure(G, seeds):
+    """The reference: N grown by chain-build steps, which need not keep it
+    normal in G, from a queue of the seeds and of the conjugates by G's
+    generators of every element whose _adjoin grew N."""
+    N = type(G)(G.degree)
+    gen_pairs = [(g.images, inv_perm(g.images)) for g in G.generators]
+    queue = [s.images for s in seeds]
+    while queue:
+        raw = queue.pop()
+        if N._adjoin(raw):
+            N.generators.append(Permutation(raw))
+            queue.extend(mult_perm(h, mult_perm(raw, h_inv)) for h, h_inv in gen_pairs)
+    return N
+
+
+def assert_closures_match_queue(gens, degree):
+    """Phi(G) and G', each from normal_closure and from the queue: equal
+    orders, and each one's generators lie in the other."""
+    G = PermGroup(degree, gens)
+    commutators = [
+        a * b * a.inverse() * b.inverse() for a, b in itertools.combinations(gens, 2)
+    ]
+    for seeds in ([g * g for g in gens] + commutators, commutators):
+        N, M = normal_closure(G, seeds), queue_normal_closure(G, seeds)
+        assert N.order == M.order
+        assert all(M.contains(g) for g in N.generators)
+        assert all(N.contains(g) for g in M.generators)
+
+
+@pytest.mark.parametrize("kind", "AS")
+def test_composite_closures_match_queue(kind):
+    for n in range(1, 65):
+        assert_closures_match_queue(composite.build_gens(kind, n), n)
+
+
+def test_diagonal_and_random_closures_match_queue():
+    cases = [gens for kind in "BG" for k in (2, 3) for gens in _diagonal_sets(kind, k)]
+    for n in RANDOM_2GROUP_DEGREES:
+        cases += random_2group_sets(n, random_perms(n, seed=n))
+    assert len(cases) == 27 + 40
+    for gens in cases:
+        assert_closures_match_queue(gens, gens[0].degree)
+
+
+def test_normal_closure_refuses_seeds_outside_G():
+    # the index-2 step needs each seed to normalise the closure built so far
+    D4 = group_from_generators(perms(["(1,2,3,4)", "(1,3)"], 4))
+    with pytest.raises(ValueError, match="^seed is not in G$"):
+        normal_closure(D4, [parse_cycles("(1,3)", 4), parse_cycles("(1,2)", 4)])
+    A4 = closure_only(4, perms(["(1,2,3)", "(2,3,4)"], 4))
+    with pytest.raises(ValueError, match="^seed is not in G$"):
+        normal_closure(A4, [parse_cycles("(1,2)", 4)])
 
 
 def test_random_sets_rejected_exactly_when_not_2groups():
