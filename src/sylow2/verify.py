@@ -3,8 +3,9 @@
 A claim is an identifier plus a parameter dict that fully determines two
 computations: the expected value (from a closed formula or a recorded
 source) and the computed value (from the oracle or an exhaustive run).
-``CLAIMS`` maps every claim id to both computations and the provenance tag
-of the expected side; ``verify``, ``selftest`` and the acceptance tests all
+``CLAIMS`` maps every claim id to both computations, the provenance tag of
+the expected side and the claim's plan, the params ``verify`` runs it with
+for each target; ``verify``, ``selftest`` and the acceptance tests all
 run claims from this one table, and each invariant check has no body but
 its entry there.  The tag ``"invariant"`` marks the self-test claims:
 their params are ``{"seed": seed}`` and their expected value is True.
@@ -17,9 +18,9 @@ computed value, pass flag and wall time.  Record lists are always sorted by
 claim id, so report ordering is canonical no matter how the claims ran.
 A report has a ``summary`` (``composite.verification_record``) exactly
 when its records include the oracle order claim; the summary's oracle
-values are taken from those records.  ``plan_claims`` alone decides where
-the oracle runs: on at most ``ORACLE_LIMIT`` points (n for kinds A and S,
-2**k for kinds B and G).
+values are taken from those records.  ``plan_claims`` checks the target,
+so that the oracle runs on at most ``ORACLE_LIMIT`` points (n for kinds A
+and S, 2**k for kinds B and G), and returns the union of the plans.
 
 Each claim computation also receives the workspace of its run, a plain
 dict that ``run_verification`` is given or creates once (``run_selftest``
@@ -78,13 +79,16 @@ class VerificationReport:
 
 @dataclass(frozen=True)
 class Claim:
-    """Expected value, its provenance tag, and the computation it is
-    checked against.  ``expected`` takes the claim's params dict;
-    ``compute`` takes the params and the workspace of the run."""
+    """Expected value, its provenance tag, the computation it is checked
+    against, and where ``verify`` runs it.  ``expected`` takes the claim's
+    params dict; ``compute`` takes the params and the workspace of the run;
+    ``plan`` takes the arguments of ``plan_claims``, once they are checked,
+    and returns the params dicts the claim runs with, none by default."""
 
     expected: Callable[[dict], object]
     provenance: str
     compute: Callable[[dict, dict], object]
+    plan: Callable[[str, int, str, int], list[dict]] = lambda *plan_args: []
 
 
 def _random_g_element(rng, k):
@@ -240,67 +244,59 @@ def _claim_sign_law_sample(params, run):
     return _sign_mismatches(random_portrait(rng, k) for _ in range(params["samples"]))
 
 
-def plan_claims(kind: str, target: int, level: str, seed: int) -> list[tuple[str, dict]]:
-    """Choose the claims to run for one verification target.
+def _for(*kinds, when=lambda target, level: True):
+    """The plan of a claim that runs once, with params ``{"kind", "n"}`` for
+    kinds A and S or ``{"kind", "k"}`` for B and G, on each of ``kinds``
+    wherever ``when(target, level)`` holds."""
+    return lambda kind, target, level, seed: (
+        [{"kind": kind, "n" if kind in ("A", "S") else "k": target}]
+        if kind in kinds and when(target, level) else [])
 
-    Raises ValueError for a level other than "quick" and "full", for a
-    target outside n >= 1 (kinds A and S), 1 <= k <= 7 (B) or 2 <= k <= 7
-    (G), naming the bound, and for a full A or S run above the oracle
-    limit; a quick one there plans only the formula claims.
-    """
+
+def _oracle(n, level):
+    return n <= ORACLE_LIMIT
+
+
+def _plan_g_tree(kind, target, level, seed):
+    """Kind G, and a full A run at n = 2**k >= 4, whose Sylow subgroup is
+    G_k: both run with ``{"kind": "G", "k": k}``."""
+    if kind == "G":
+        return [{"kind": "G", "k": target}]
+    k = target.bit_length() - 1
+    full_a_run = kind == "A" and level == "full" and k >= 2 and target == 1 << k
+    return [{"kind": "G", "k": k}] if full_a_run else []
+
+
+def _plan_sign_law(kind, target, level, seed):
+    sampled = {"kind": kind, "k": target, "seed": seed, "samples": 2000}
+    return [sampled] if kind in ("B", "G") else []
+
+
+def plan_claims(kind: str, target: int, level: str, seed: int) -> list[tuple[str, dict]]:
+    """The claims to run for one verification target: the ``plan`` of each
+    ``CLAIMS`` entry, sorted by claim id.  First raises ValueError for an
+    unknown level or kind, for a target outside n >= 1 (kinds A and S),
+    1 <= k <= 7 (B) or 2 <= k <= 7 (G), naming the bound, and for a full A
+    or S run above the oracle limit, where a quick one runs only formulas."""
     if level not in ("quick", "full"):
         raise ValueError(f"unknown level {level!r}")
-    plan = []
     if kind in ("A", "S"):
-        n = target
-        if n < 1:
-            raise ValueError(f"verify {kind} needs n >= 1, got {n}")
-        base = {"kind": kind, "n": n}
-        plan.append(("composite/legendre-cross-check", base))
-        plan.append(("composite/neighbor-ratios", base))
-        if n <= ORACLE_LIMIT:
-            plan.append(("composite/order-log2", base))
-            plan.append(("composite/rank", base))
-            if kind == "A":
-                plan.append(("composite/all-even", base))
-            if n % 2 == 1:
-                plan.append(("composite/fixed-point", base))
-            if level == "full":
-                if kind == "A" and composite.order_syl2_A(n) <= ENUMERATION_LIMIT:
-                    plan.append(("composite/enumeration-even", base))
-                exps = composite.decompose(n)
-                if kind == "A" and len(exps) == 1 and exps[0] >= 2:
-                    k = exps[0]
-                    tree = {"kind": "G", "k": k}
-                    plan.append(("tree/frattini-quotient-log2", tree))
-                    plan.append(("tree/derived-order-log2", tree))
-        elif level == "full":
+        if target < 1:
+            raise ValueError(f"verify {kind} needs n >= 1, got {target}")
+        if level == "full" and target > ORACLE_LIMIT:
             raise ValueError(
                 f"full verification is oracle-backed and capped at n = "
                 f"{ORACLE_LIMIT}; use --level quick for formula-only checks"
             )
     elif kind in ("B", "G"):
-        k = target
         low = 1 if kind == "B" else 2
         high = ORACLE_LIMIT.bit_length() - 1  # a depth-k tree has 2**k leaves
-        if not low <= k <= high:
-            raise ValueError(f"verify {kind} needs {low} <= k <= {high}, got {k}")
-        base = {"kind": kind, "k": k}
-        plan.append(("tree/order-log2", base))
-        plan.append(("tree/rank", base))
-        plan.append(
-            ("tree/sign-law-violations", dict(base, seed=seed, samples=2000))
-        )
-        if kind == "G":
-            plan.append(("tree/frattini-quotient-log2", base))
-            plan.append(("tree/derived-order-log2", base))
-            if level == "full" and k <= 4:
-                plan.append(("tree/w-count", base))
-        if level == "full" and k <= 3:
-            plan.append(("tree/derived-matches-predicate", base))
+        if not low <= target <= high:
+            raise ValueError(f"verify {kind} needs {low} <= k <= {high}, got {target}")
     else:
         raise ValueError(f"unknown kind {kind!r}")
-    return sorted(plan, key=lambda item: item[0])
+    return [(claim, params) for claim, entry in sorted(CLAIMS.items())
+            for params in entry.plan(kind, target, level, seed)]
 
 
 def run_claim(claim: str, params: dict, run: dict | None = None) -> VerificationReport:
@@ -338,12 +334,12 @@ def recompute(record: dict):
     returns the fresh computed value.
 
     A record is user input, so it runs only if a plan makes it: a record
-    with a kind must be in ``plan_claims`` at the full level up to
-    ``ORACLE_LIMIT`` and at the quick level above it (the quick plan is
-    part of the full one), any other in the self-test plan.  Raises
-    ValueError, before any computation, for every other record and for a
-    record that is not a dict with a claim id, a params dict and an integer
-    seed."""
+    with a kind must be in ``plan_claims``, which checks kind and target
+    before any claim's plan runs, at the full level up to ``ORACLE_LIMIT``
+    and at the quick level above it (the quick plan is part of the full
+    one), any other in the self-test plan.  Raises ValueError, before any
+    computation, for every other record and for one that is not a dict
+    with a claim id, a params dict and an integer seed."""
     if not (isinstance(record, dict) and "claim" in record and "params" in record):
         raise ValueError(f"a record needs a claim and params, got {record!r}")
     claim, params = record["claim"], record["params"]
@@ -629,44 +625,47 @@ def _invariant(check):
 
 
 CLAIMS = {
-    "composite/order-log2": Claim(_expected_order_log2, "formula", _claim_order_log2),
-    "composite/legendre-cross-check": Claim(
-        _expected_order_log2, "formula", _claim_legendre
+    "composite/order-log2": Claim(_expected_order_log2, "formula", _claim_order_log2,
+                                  _for("A", "S", when=_oracle)),
+    "composite/legendre-cross-check": Claim(_expected_order_log2, "formula",
+                                            _claim_legendre, _for("A", "S")),
+    "composite/rank": Claim(lambda p: composite.rank_syl2(p["kind"], p["n"]),
+                            "formula", _claim_frattini_quotient_log2,
+                            _for("A", "S", when=_oracle)),
+    "composite/all-even": Claim(lambda p: True, "formula", _claim_all_even,
+                                _for("A", when=_oracle)),
+    "composite/fixed-point": Claim(
+        lambda p: p["n"], "formula", _claim_fixed_point,
+        _for("A", "S", when=lambda n, level: n % 2 == 1 and _oracle(n, level)),
     ),
-    "composite/rank": Claim(
-        lambda p: composite.rank_syl2(p["kind"], p["n"]),
-        "formula",
-        _claim_frattini_quotient_log2,
-    ),
-    "composite/all-even": Claim(lambda p: True, "formula", _claim_all_even),
-    "composite/fixed-point": Claim(lambda p: p["n"], "formula", _claim_fixed_point),
-    "composite/neighbor-ratios": Claim(
-        lambda p: True, "formula", _claim_neighbor_ratios
-    ),
+    "composite/neighbor-ratios": Claim(lambda p: True, "formula",
+                                       _claim_neighbor_ratios, _for("A", "S")),
     "composite/enumeration-even": Claim(
-        lambda p: True, "derived", _claim_enumeration_even
+        lambda p: True, "derived", _claim_enumeration_even,
+        _for("A", when=lambda n, level: level == "full"
+             and composite.order_syl2_A(n) <= ENUMERATION_LIMIT),
     ),
-    "tree/order-log2": Claim(_expected_tree_order_log2, "formula", _claim_order_log2),
-    "tree/rank": Claim(lambda p: p["k"], "formula", _claim_frattini_quotient_log2),
-    "tree/frattini-quotient-log2": Claim(
-        lambda p: p["k"], "formula", _claim_frattini_quotient_log2
-    ),
+    "tree/order-log2": Claim(_expected_tree_order_log2, "formula", _claim_order_log2,
+                             _for("B", "G")),
+    "tree/rank": Claim(lambda p: p["k"], "formula", _claim_frattini_quotient_log2,
+                       _for("B", "G")),
+    "tree/frattini-quotient-log2": Claim(lambda p: p["k"], "formula",
+                                         _claim_frattini_quotient_log2, _plan_g_tree),
     "tree/derived-order-log2": Claim(
-        lambda p: _expected_tree_order_log2(p) - p["k"],
-        "derived",
-        _claim_derived_order_log2,
+        lambda p: _expected_tree_order_log2(p) - p["k"], "derived",
+        _claim_derived_order_log2, _plan_g_tree,
     ),
     "tree/w-count": Claim(
         lambda p: wreath.order_formula(wreath.GroupKind("W", p["k"])),
-        "formula",
-        _claim_w_count,
+        "formula", _claim_w_count,
+        _for("G", when=lambda k, level: level == "full" and k <= 4),
     ),
     "tree/derived-matches-predicate": Claim(
-        lambda p: True, "derived", _claim_derived_match
+        lambda p: True, "derived", _claim_derived_match,
+        _for("B", "G", when=lambda k, level: level == "full" and k <= 3),
     ),
-    "tree/sign-law-violations": Claim(
-        lambda p: 0, "formula", _claim_sign_law_sample
-    ),
+    "tree/sign-law-violations": Claim(lambda p: 0, "formula", _claim_sign_law_sample,
+                                      _plan_sign_law),
     # the self test, in the order it reports them
     "portrait/parse-format-roundtrip": _invariant(_check_parse_roundtrip),
     "portrait/group-laws": _invariant(_check_group_laws),

@@ -1,6 +1,5 @@
 import json
 import os
-import re
 import subprocess
 import sys
 from pathlib import Path
@@ -360,21 +359,19 @@ def test_parser_built_once_and_reused_cleanly(capsys):
     assert [run(capsys, *argv) for argv in sequence] == alone
 
 
-def _pyproject_version():
-    """The [project] version in pyproject.toml, with tomllib where the
-    interpreter has it (3.11+) and a regex on the version line otherwise."""
+def _pyproject_table(name):
+    """The lines of one table of pyproject.toml, without its header."""
     text = (Path(__file__).parent.parent / "pyproject.toml").read_text()
-    try:
-        import tomllib
-    except ImportError:
-        project = text[text.index("[project]"):]
-        return re.search(r'^version = "([^"]+)"$', project, re.MULTILINE).group(1)
-    return tomllib.loads(text)["project"]["version"]
+    return text.split(f"\n[{name}]\n", 1)[1].split("\n[", 1)[0].splitlines()
 
 
 def test_version(capsys):
     expected = f"sylow2 {sylow2.__version__}\n"
     assert run(capsys, "--version") == (0, expected, "")
     assert run_alone("--version") == (0, expected, "")
-    # one version number: the package's and the distribution's agree
-    assert expected == f"sylow2 {_pyproject_version()}\n"
+    # one version number: the distribution reads the package's
+    project = _pyproject_table("project")
+    assert 'dynamic = ["version"]' in project
+    assert not any(line.startswith("version") for line in project)
+    assert 'version = {attr = "sylow2.__version__"}' in _pyproject_table(
+        "tool.setuptools.dynamic")

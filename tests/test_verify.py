@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import time
@@ -45,12 +46,18 @@ def test_full_plan_above_oracle_limit_is_refused():
         verify.plan_claims("S", 129, "full", 1729)
 
 
+# kinds that a containment test on a string such as "AS" would let through
+BAD_KINDS = ["", "AS", "BG", "a", None, ["A"]]
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda: verify.plan_claims("Q", 4, "quick", 1), "unknown kind 'Q'"),
     (lambda: verify.plan_claims("G", 3, "bogus", 1), "unknown level 'bogus'"),
     (lambda: verify.run_verification("A", 4, "medium"), "unknown level 'medium'"),
     (lambda: verify.bruteforce_closure(composite.build_gens_S(6), cap=10),
      "closure cap exceeded"),
+    *[(lambda kind=kind: verify.plan_claims(kind, 4, "full", 1),
+       f"unknown kind {kind!r}") for kind in BAD_KINDS],
 ])
 def test_error_texts(call, message):
     with pytest.raises(ValueError) as info:
@@ -449,6 +456,8 @@ def test_every_invariant_claim_has_a_wrong_answer():
     ({"claim": "tree/sign-law-violations",
       "params": {"kind": "B", "k": 3, "seed": "1729", "samples": 2000}},
      "tree/sign-law-violations needs an integer seed, got '1729'"),
+    *[({"claim": "composite/order-log2", "params": {"kind": kind, "n": 4}},
+       f"unknown kind {kind!r}") for kind in BAD_KINDS],
 ])
 def test_recompute_refuses_a_record_no_plan_makes(monkeypatch, record, message):
     def no_computation(params, run):
@@ -471,3 +480,38 @@ def test_quick_plan_is_part_of_the_full_plan():
         quick = verify.plan_claims(kind, target, "quick", 1729)
         full = verify.plan_claims(kind, target, "full", 1729)
         assert all(item in full for item in quick)
+
+
+def _plan_or_refusal(kind, target, level, seed):
+    try:
+        return verify.plan_claims(kind, target, level, seed)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_plans_match_the_pinned_digest():
+    # every plan and refusal text on this grid, as a digest taken when the
+    # plans moved into CLAIMS; a new claim or a changed plan changes it
+    targets = [(kind, n) for kind in ("A", "S")
+               for n in (0, *range(1, 301), 1023, 1024, 1025, 4096)]
+    targets += [("B", k) for k in range(9)] + [("G", k) for k in range(1, 9)]
+    dump = repr([
+        _plan_or_refusal(kind, target, level, seed)
+        for kind, target in targets
+        for level in ("quick", "full")
+        for seed in (1729, 42)
+    ])
+    assert hashlib.sha256(dump.encode()).hexdigest() == (
+        "9c06e8a5aeab8257a8523a6b6d3eab9c12da6c42f5f8b9095284d3be995120ad"
+    )
+    for kind, target, message in [
+        ("A", 0, "verify A needs n >= 1, got 0"),
+        ("S", 0, "verify S needs n >= 1, got 0"),
+        ("B", 0, "verify B needs 1 <= k <= 7, got 0"),
+        ("B", 8, "verify B needs 1 <= k <= 7, got 8"),
+        ("G", 1, "verify G needs 2 <= k <= 7, got 1"),
+        ("G", 8, "verify G needs 2 <= k <= 7, got 8"),
+        ("S", 129, "full verification is oracle-backed and capped at n = 128; "
+                   "use --level quick for formula-only checks"),
+    ]:
+        assert _plan_or_refusal(kind, target, "full", 1729) == message
