@@ -3,7 +3,8 @@
 Subcommands: ``order``, ``rank``, ``gens``, ``member``, ``calc``,
 ``verify`` and ``selftest``; ``--version`` prints the package version.
 Exit codes: 0 on success, 1 when a verification or self-test claim fails,
-2 on usage or parse errors.
+2 on usage or parse errors, 141 (128 + SIGPIPE) when the reader of standard
+output closes it early, as ``head`` does.
 
 Randomized suites take an explicit ``--seed``; the default (1729) is fixed,
 so every command is deterministic given its arguments.
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 
 from sylow2 import __version__, composite, derived, verify, wreath
@@ -33,6 +35,23 @@ _MEMBER_PREDICATES = {
     "frattini-G": derived.in_frattini_G,
     "typeT": wreath.is_type_T,
     "typeC": wreath.is_type_C,
+}
+
+
+def _portrait_text(g):
+    return f"{format_portrait(g)}\n{format_cycles(leaf_permutation(g))}"
+
+
+def _commutator(a, b):
+    return compose(compose(a, b), compose(inverse(a), inverse(b)))
+
+
+_CALC_OPS = {  # op: (operand count, operation, text of its result)
+    "mul": (2, compose, _portrait_text),
+    "inv": (1, inverse, _portrait_text),
+    "comm": (2, _commutator, _portrait_text),
+    "abelianize-B": (1, derived.abelianization_B, derived.format_parity_vector),
+    "abelianize-G": (1, derived.abelianization_G, derived.format_parity_vector),
 }
 
 
@@ -81,27 +100,12 @@ def _cmd_member(args):
 
 
 def _cmd_calc(args):
-    op = args.op
+    count, operation, output = _CALC_OPS[args.op]
     operands = [parse_portrait(text) for text in args.elements]
-    if op in ("mul", "comm") and len(operands) != 2:
-        raise ValueError(f"{op} takes exactly two operands")
-    if op in ("inv", "abelianize-B", "abelianize-G") and len(operands) != 1:
-        raise ValueError(f"{op} takes exactly one operand")
-    if op == "mul":
-        result = compose(operands[0], operands[1])
-    elif op == "inv":
-        result = inverse(operands[0])
-    elif op == "comm":
-        a, b = operands
-        result = compose(compose(a, b), compose(inverse(a), inverse(b)))
-    elif op == "abelianize-B":
-        print(derived.format_parity_vector(derived.abelianization_B(operands[0])))
-        return 0
-    else:
-        print(derived.format_parity_vector(derived.abelianization_G(operands[0])))
-        return 0
-    print(format_portrait(result))
-    print(format_cycles(leaf_permutation(result)))
+    if len(operands) != count:
+        noun = "one operand" if count == 1 else "two operands"
+        raise ValueError(f"{args.op} takes exactly {noun}")
+    print(output(operation(*operands)))
     return 0
 
 
@@ -167,9 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_member)
 
     p = sub.add_parser("calc", help="portrait calculator")
-    p.add_argument(
-        "op", choices=("mul", "inv", "comm", "abelianize-B", "abelianize-G")
-    )
+    p.add_argument("op", choices=list(_CALC_OPS))
     p.add_argument("elements", nargs="+", help="portrait text operands")
     p.set_defaults(func=_cmd_calc)
 
@@ -192,10 +194,19 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a closed pipe fails here, however short the output
+        return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader is gone; what is still buffered goes to devnull, so
+        # that the interpreter's flush at exit does not fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
 
 
 if __name__ == "__main__":

@@ -99,15 +99,11 @@ def in_G_recursive(g: Portrait) -> bool:
     depth-(k-1) group; agrees with in_G everywhere."""
     if g.depth < 2:
         raise ValueError("G is undefined at depth 1")
-    return _in_G_rec(g)
-
-
-def _in_G_rec(g: Portrait) -> bool:
-    if g.depth == 1:
-        # the even subgroup of the depth-1 automorphisms is trivial
-        return g.is_identity()
     prod = compose(section(g, Vertex(1, 1)), section(g, Vertex(1, 2)))
-    return _in_G_rec(prod)
+    if prod.depth == 1:
+        # the even subgroup of the depth-1 automorphisms is trivial
+        return prod.is_identity()
+    return in_G_recursive(prod)
 
 
 def _upper_empty(g: Portrait) -> bool:

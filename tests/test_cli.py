@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -7,8 +8,18 @@ from pathlib import Path
 import pytest
 
 import sylow2
-from sylow2 import verify
+from sylow2 import derived, verify
 from sylow2.cli import build_parser, main
+from sylow2.permgroup import format_cycles
+from sylow2.portrait import (
+    Portrait,
+    compose,
+    format_portrait,
+    inverse,
+    leaf_permutation,
+    random_portrait,
+)
+from sylow2.wreath import in_G
 
 
 def run(capsys, *argv):
@@ -168,6 +179,49 @@ def test_calc_depth_mismatch_exits_2(capsys):
     code, _, err = run(capsys, "calc", "mul", "1/00", "0/00/1001")
     assert code == 2
     assert "depth mismatch" in err
+
+
+def _tree_text(g):
+    return f"{format_portrait(g)}\n{format_cycles(leaf_permutation(g))}\n"
+
+
+def _parity_text(vector):
+    return derived.format_parity_vector(vector) + "\n"
+
+
+# op: (operand count, what calc prints for the operands), from the library
+CALC_ANSWERS = {
+    "mul": (2, lambda a, b: _tree_text(compose(a, b))),
+    "inv": (1, lambda a: _tree_text(inverse(a))),
+    "comm": (2, lambda a, b: _tree_text(
+        compose(compose(a, b), compose(inverse(a), inverse(b))))),
+    "abelianize-B": (1, lambda a: _parity_text(derived.abelianization_B(a))),
+    "abelianize-G": (1, lambda a: _parity_text(derived.abelianization_G(a))),
+}
+
+
+def _into_G(g):
+    """g itself if it is in G, else g with its last label flipped."""
+    if in_G(g):
+        return g
+    return Portrait(g.depth, g.bits[:-1] + bytes([g.bits[-1] ^ 1]))
+
+
+def test_calc_matches_the_library(capsys):
+    # the parser offers the ops in this order, and every op prints what the
+    # library computes, on seeded operands at depths 1-8 (abelianize-G on
+    # operands inside G, from depth 2)
+    usage = run(capsys, "calc", "--help")[1]
+    assert "{mul,inv,comm,abelianize-B,abelianize-G}" in usage
+    rng = random.Random(27)
+    for op, (count, answer) in CALC_ANSWERS.items():
+        for depth in range(2 if op == "abelianize-G" else 1, 9):
+            for _ in range(3):
+                operands = [random_portrait(rng, depth) for _ in range(count)]
+                if op == "abelianize-G":
+                    operands = [_into_G(g) for g in operands]
+                argv = ["calc", op, *map(format_portrait, operands)]
+                assert run(capsys, *argv) == (0, answer(*operands), "")
 
 
 # -- verify ---------------------------------------------------------------------
@@ -331,19 +385,34 @@ def test_selftest_names_violated_invariant(capsys, monkeypatch):
     assert "portrait/leaf-homomorphism" in "\n".join(failures)
 
 
-# -- process-wide parser and --version ---------------------------------------------
+# -- process-wide parser, closed pipes and --version --------------------------------
 
-def run_alone(*argv):
+def run_alone(*argv, stdout=subprocess.PIPE):
     """``python -m sylow2 argv`` in a fresh interpreter."""
     src = os.path.dirname(os.path.dirname(sylow2.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "sylow2", *argv],
-        capture_output=True,
+        stdout=stdout,
+        stderr=subprocess.PIPE,
         text=True,
         env=dict(os.environ, PYTHONPATH=path),
     )
     return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.mark.parametrize("argv", [("gens", "S", "4095"), ("order", "A", "12")])
+def test_closed_pipe_exits_141_quietly(argv):
+    # as in `sylow2 gens S 4095 | head -1`, the reader is gone; its end is
+    # closed before the start, so the write fails on every run: midway
+    # through the 41 kB of gens, or at the final flush of order's one line
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        code, _, err = run_alone(*argv, stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert (code, err) == (141, "")
 
 
 def test_parser_built_once_and_reused_cleanly(capsys):

@@ -43,7 +43,6 @@ STATED_OUTPUT = {
     "member derived-B 1/00": "no",
     "calc mul 1/00 0/10": "1/10",
     "calc abelianize-G 0/00/1001": "001",
-    "--version": "sylow2 0.1.0",
 }
 
 
