@@ -46,8 +46,6 @@ def in_derived_G(g: Portrait) -> bool:
     The root level is included in the evenness requirement; at depth >= 2
     a single root label already fails.
     """
-    if g.depth < 2:
-        raise ValueError("the G criterion needs depth >= 2")
     return in_G(g) and not any(abelianization_G(g))
 
 

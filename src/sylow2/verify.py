@@ -41,6 +41,7 @@ from __future__ import annotations
 import json
 import random
 import time
+from collections import Counter
 from dataclasses import asdict, dataclass
 from itertools import chain, groupby, product
 from operator import itemgetter
@@ -231,10 +232,13 @@ def _claim_derived_match(params, run):
 
 def _sign_mismatches(portraits):
     """How many portraits have a leaf sign other than the parity of their
-    bottom-level label count."""
+    bottom-level label count, counted with multiplicity.  Each distinct
+    portrait is judged once, so 2000 draws at depth 2 build 8 leaf
+    permutations, not 2000."""
     return sum(
-        leaf_permutation(g).sign() != (-1 if level_index(g, g.depth - 1) % 2 else 1)
-        for g in portraits
+        count
+        for g, count in Counter(portraits).items()
+        if leaf_permutation(g).sign() != (-1 if level_index(g, g.depth - 1) % 2 else 1)
     )
 
 
@@ -387,9 +391,9 @@ def report_to_json(kind, target, level, seed, records, run=None) -> dict:
 
 
 def write_report(path, doc):
+    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
 
 
 # --------------------------------------------------------------------------

@@ -172,7 +172,7 @@ def test_abelianization_G_kernel_is_derived():
 
 def test_error_texts_at_depth_1_and_outside_G():
     cases = [
-        (in_derived_G, "1", "the G criterion needs depth >= 2"),
+        (in_derived_G, "1", "G is undefined at depth 1"),
         (abelianization_G, "1", "G is undefined at depth 1"),
         (in_frattini_G, "1", "G is undefined at depth 1"),
         (abelianization_G, "0/00/1000", "element is not in G"),

@@ -16,6 +16,7 @@ from sylow2.portrait import (
     identity,
     inverse,
     level_index,
+    parse_portrait,
     random_portrait,
 )
 
@@ -195,6 +196,64 @@ def test_sign_law_claim_is_seed_stable():
     first = verify.run_claim("tree/sign-law-violations", params)
     second = verify.run_claim("tree/sign-law-violations", params)
     assert first.computed == second.computed == 0
+
+
+def _sign_law_draws(params):
+    rng = random.Random(params["seed"])
+    return [random_portrait(rng, params["k"]) for _ in range(params["samples"])]
+
+
+def _per_sample_mismatches(draws):
+    """The reference count: one leaf permutation per draw."""
+    return sum(
+        verify.leaf_permutation(g).sign()
+        != (-1 if verify.level_index(g, g.depth - 1) % 2 else 1)
+        for g in draws
+    )
+
+
+@pytest.mark.parametrize("seed", [1729, 42])
+@pytest.mark.parametrize("kind", ["B", "G"])
+def test_sign_law_claim_matches_the_per_sample_count(monkeypatch, kind, seed):
+    real = verify.level_index
+    for k in range(2, 8):
+        params = {"kind": kind, "k": k, "seed": seed, "samples": 2000}
+        draws = _sign_law_draws(params)
+        assert verify.run_claim("tree/sign-law-violations", params).computed \
+            == _per_sample_mismatches(draws) == 0
+        # break the law for every portrait with a root label, so that the
+        # counts compared are far from zero
+        with monkeypatch.context() as patch:
+            patch.setattr(verify, "level_index", lambda g, l: real(g, l) + real(g, 0))
+            broken = _per_sample_mismatches(draws)
+            assert broken > 0
+            assert verify.run_claim("tree/sign-law-violations", params).computed == broken
+
+
+def test_sign_law_claim_counts_each_draw_of_a_failing_portrait(monkeypatch):
+    params = {"kind": "B", "k": 2, "seed": 1729, "samples": 2000}
+    draws = Counter(_sign_law_draws(params))
+    chosen = parse_portrait("1/01")
+    assert draws[chosen] > 1
+    real = verify.level_index
+    monkeypatch.setattr(verify, "level_index",
+                        lambda g, l: real(g, l) + (g == chosen))
+    assert verify.run_claim("tree/sign-law-violations", params).computed == draws[chosen]
+
+
+@pytest.mark.parametrize("k, distinct", [(2, 8), (3, 128)])
+def test_sign_law_claim_builds_one_leaf_permutation_per_portrait(monkeypatch, k, distinct):
+    judged = []
+    real = verify.leaf_permutation
+
+    def counted(g):
+        judged.append(g)
+        return real(g)
+
+    monkeypatch.setattr(verify, "leaf_permutation", counted)
+    params = {"kind": "B", "k": k, "seed": 1729, "samples": 2000}
+    assert verify.run_claim("tree/sign-law-violations", params).computed == 0
+    assert 0 < len(judged) <= distinct
 
 
 FIXTURES = sorted((Path(__file__).parent / "data").glob("verify_*.json"))
