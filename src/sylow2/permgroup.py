@@ -49,6 +49,8 @@ class Permutation:
 
     @classmethod
     def identity(cls, degree: int) -> Permutation:
+        if degree < 0:
+            raise ValueError(f"degree must be >= 0, got {degree}")
         return cls(tuple(range(degree)))
 
     @property
@@ -382,8 +384,15 @@ def normal_closure(G: PermGroup, seeds) -> PermGroup:
 
 
 def _commutators(gens) -> list[Permutation]:
-    # [a, a] = 1 and [b, a] = [a, b]^-1 add nothing to a normal closure
-    return [a * b * a.inverse() * b.inverse() for a, b in combinations(gens, 2)]
+    """The commutators [a, b] = a.b.a^-1.b^-1 of the pairs a before b of
+    gens: [a, a] = 1 and [b, a] = [a, b]^-1 add nothing to a normal
+    closure.  Each generator is inverted once, and each commutator is
+    multiplied out on image tuples and then wrapped in one ``Permutation``."""
+    pairs = [(g.images, inv_perm(g.images)) for g in gens]
+    return [
+        Permutation(mult_perm(a, mult_perm(b, mult_perm(a_inv, b_inv))))
+        for (a, a_inv), (b, b_inv) in combinations(pairs, 2)
+    ]
 
 
 def derived_subgroup(G: PermGroup) -> PermGroup:
@@ -396,9 +405,11 @@ def frattini_of_2group(G: PermGroup) -> PermGroup:
 
     For a finite 2-group the Frattini subgroup equals G^2 [G,G]; as a normal
     subgroup it is generated by the squares and pairwise commutators of any
-    generating set, which is what gets closed here.
+    generating set, which is what gets closed here.  Each square, like each
+    commutator, is one ``Permutation`` built from its image tuple.
     """
-    return normal_closure(G, [g * g for g in G.generators] + _commutators(G.generators))
+    squares = [Permutation(mult_perm(g.images, g.images)) for g in G.generators]
+    return normal_closure(G, squares + _commutators(G.generators))
 
 
 def rank_of_2group(G: PermGroup) -> int:

@@ -24,8 +24,8 @@ Portraits are immutable values; every operation here is a pure function.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from itertools import repeat
 
 from sylow2.kernels import compose_labels, invert_labels, leaf_images
 from sylow2.permgroup import Permutation
@@ -120,10 +120,39 @@ def from_vertices(k: int, vertices) -> Portrait:
     return Portrait(k, bytes(bits))
 
 
+_TOP_BIT = bytes(b >> 7 for b in range(256))  # a byte -> its top bit
+
+
+def _draw_labels(rng, k: int, count: int) -> bytes:
+    """The labels of ``count`` depth-k portraits, drawn as one
+    ``rng.getrandbits(1)`` per label would draw them, from one rng call.
+
+    CPython fills ``getrandbits(m)`` with 32-bit words, least significant
+    first, in generator order, and ``getrandbits(1)`` is the top bit of one
+    word; so the top bit of every fourth little-endian byte is the next
+    label, and the rng state afterwards is the same."""
+    words = count * ((1 << k) - 1)
+    little_endian = rng.getrandbits(32 * words).to_bytes(4 * words, "little")
+    return little_endian[3::4].translate(_TOP_BIT)
+
+
 def random_portrait(rng, k: int) -> Portrait:
-    """Uniform depth-k portrait: one ``rng.getrandbits(1)`` per label, in
-    storage order, so a seeded ``random.Random`` gives a fixed sequence."""
-    return Portrait(k, bytes(map(rng.getrandbits, repeat(1, (1 << k) - 1))))
+    """Uniform depth-k portrait, labelled in storage order as by one
+    ``rng.getrandbits(1)`` per label, so a seeded ``random.Random`` gives a
+    fixed sequence; the labels come from a single rng call."""
+    return Portrait(k, _draw_labels(rng, k, 1))
+
+
+def random_portrait_counts(rng, k: int, count: int) -> Counter:
+    """``Counter(random_portrait(rng, k) for _ in range(count))``, from one
+    rng call: the label tables are counted as bytes first, and one
+    ``Portrait`` is built per distinct table."""
+    if k < 1:
+        raise ValueError("depth must be >= 1 (the depth-0 tree is empty)")
+    size = (1 << k) - 1
+    labels = _draw_labels(rng, k, count)
+    tables = Counter(labels[i : i + size] for i in range(0, len(labels), size))
+    return Counter({Portrait(k, bits): m for bits, m in tables.items()})
 
 
 def compose(g: Portrait, h: Portrait) -> Portrait:

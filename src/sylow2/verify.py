@@ -61,6 +61,7 @@ from sylow2.portrait import (
     level_index,
     parse_portrait,
     random_portrait,
+    random_portrait_counts,
 )
 
 ORACLE_LIMIT = 128  # no oracle work above this many points
@@ -215,7 +216,7 @@ def _claim_derived_order_log2(params, run):
 
 def _claim_w_count(params, run):
     k = params["k"]
-    return sum(1 for g in wreath.all_portraits(k) if wreath.in_W(g))
+    return sum(map(wreath.in_W, wreath.all_portraits(k)))
 
 
 def _claim_derived_match(params, run):
@@ -230,14 +231,14 @@ def _claim_derived_match(params, run):
     return by_predicate == by_oracle
 
 
-def _sign_mismatches(portraits):
+def _sign_mismatches(counts):
     """How many portraits have a leaf sign other than the parity of their
-    bottom-level label count, counted with multiplicity.  Each distinct
-    portrait is judged once, so 2000 draws at depth 2 build 8 leaf
-    permutations, not 2000."""
+    bottom-level label count, counted with multiplicity: ``counts`` maps
+    each distinct portrait to its multiplicity, and each is judged once, so
+    2000 draws at depth 2 build 8 leaf permutations, not 2000."""
     return sum(
         count
-        for g, count in Counter(portraits).items()
+        for g, count in counts.items()
         if leaf_permutation(g).sign() != (-1 if level_index(g, g.depth - 1) % 2 else 1)
     )
 
@@ -245,7 +246,7 @@ def _sign_mismatches(portraits):
 def _claim_sign_law_sample(params, run):
     rng = random.Random(params["seed"])
     k = params["k"]
-    return _sign_mismatches(random_portrait(rng, k) for _ in range(params["samples"]))
+    return _sign_mismatches(random_portrait_counts(rng, k, params["samples"]))
 
 
 def _for(*kinds, when=lambda target, level: True):
@@ -476,7 +477,7 @@ def _check_sign_law(params, run):
     claim on 200 seeded depth-8 samples."""
     exhaustive = (g for k in (1, 2, 3) for g in wreath.all_portraits(k))
     sampled = {"kind": "B", "k": 8, "seed": params["seed"], "samples": 200}
-    violations = _sign_mismatches(exhaustive)
+    violations = _sign_mismatches(Counter(exhaustive))
     return violations + run_claim("tree/sign-law-violations", sampled).computed == 0
 
 

@@ -107,14 +107,17 @@ def in_G_recursive(g: Portrait) -> bool:
 
 
 def _upper_empty(g: Portrait) -> bool:
-    return not any(level_index(g, l) for l in range(g.depth - 1))
+    for l in range(g.depth - 1):
+        if level_index(g, l):
+            return False
+    return True
 
 
 def in_W(g: Portrait) -> bool:
     """Labels only on the last level, an even number of them."""
     if g.depth < 2:
         raise ValueError("W needs depth >= 2")
-    return _upper_empty(g) and in_G(g)
+    return in_G(g) and _upper_empty(g)
 
 
 def bottom_halves(g: Portrait) -> tuple[int, int]:
@@ -225,9 +228,24 @@ def count_diagonal_bases(kind: str, k: int) -> int:
     return order_formula(GroupKind(kind, k)) >> k
 
 
+def _counting_tables(width):
+    """Every label string of the given width, in counting order: label i of
+    the m-th string is bit i of m."""
+    # product varies its last entry fastest; reversed makes that label 0
+    return (bytes(reversed(labels)) for labels in product(b"\0\1", repeat=width))
+
+
 def all_portraits(k: int):
     """Iterate every depth-k portrait (2**(2**k - 1) of them), in counting
-    order: label i of the m-th portrait is bit i of m."""
-    # product varies its last entry fastest; reversed makes that label 0
-    for labels in product(b"\0\1", repeat=(1 << k) - 1):
-        yield Portrait(k, bytes(reversed(labels)))
+    order: label i of the m-th portrait is bit i of m.
+
+    The labels above the bottom level come first in the table, so each one
+    is a depth-(k-1) table, all of them listed once up front, followed by a
+    bottom-level string, which changes only once every upper table has
+    passed."""
+    if k < 1:
+        raise ValueError("depth must be >= 1 (the depth-0 tree is empty)")
+    uppers = list(_counting_tables((1 << (k - 1)) - 1))
+    for bottom in _counting_tables(1 << (k - 1)):
+        for upper in uppers:
+            yield Portrait(k, upper + bottom)

@@ -270,6 +270,7 @@ def test_permutation_validated():
     (lambda: parse_cycles("(1,(2)", 4), "malformed parentheses in '(1,(2)'"),
     (lambda: parse_cycles("(1)", 4), "cycle too short in '(1)'"),
     (lambda: parse_cycles("e", -1), "degree must be >= 0, got -1"),
+    (lambda: Permutation.identity(-3), "degree must be >= 0, got -3"),
     (lambda: PermGroup(0), "degree must be positive"),
     (lambda: group_from_generators([]), "degree required for an empty generator list"),
     (lambda: normal_closure(PermGroup(4), [Permutation.identity(3)]), "degree mismatch"),
@@ -740,6 +741,29 @@ def test_derived_closure_work(monkeypatch, kind, n, queue_products):
     D, calls = closure_products(monkeypatch, derived_subgroup, G)
     assert D.order == G.order >> composite.rank_syl2(kind, n)
     assert calls <= DERIVED_PRODUCTS[kind, n] < queue_products
+
+
+@pytest.mark.parametrize("closure, squares, built", [
+    (frattini_of_2group, True, 40), (derived_subgroup, False, 35),
+])
+def test_closure_builds_one_permutation_per_seed_and_generator(
+        monkeypatch, closure, squares, built):
+    # each seed is multiplied out on image tuples and wrapped once; the rest
+    # are the generators of the closure
+    G = PermGroup(32, composite.build_gens("A", 32))
+    made = 0
+    real = Permutation.__post_init__
+
+    def counting(self):
+        nonlocal made
+        made += 1
+        real(self)
+
+    monkeypatch.setattr(Permutation, "__post_init__", counting)
+    N = closure(G)
+    r = len(G.generators)
+    seeds = r * (r - 1) // 2 + (r if squares else 0)
+    assert made == seeds + len(N.generators) == built
 
 
 # -- normal closures against the conjugate queue ------------------------------

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -24,6 +25,7 @@ from sylow2.portrait import (
     level_index,
     moved_subtree,
     parse_portrait,
+    random_portrait_counts,
     section,
     vertex_image,
 )
@@ -54,6 +56,8 @@ def test_depth_zero_rejected():
         identity(0)
     with pytest.raises(ValueError, match="depth must be >= 1"):
         from_vertices(0, [])
+    with pytest.raises(ValueError, match="depth must be >= 1"):
+        random_portrait_counts(random.Random(0), 0, 5)
 
 
 def test_from_vertices_inverts_active_vertices():
@@ -151,6 +155,25 @@ def test_random_portrait_sequence_is_pinned():
         "0/11/0100",
     ]
     assert rng.random() == 0.33082622546923457  # no extra draws
+
+
+def _per_label_draw(rng, k):
+    """The reference draw: one getrandbits(1) per label, in storage order."""
+    return Portrait(k, bytes(rng.getrandbits(1) for _ in range(2**k - 1)))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 42, 1729, 2**40 + 3])
+def test_bulk_draws_match_one_getrandbits_per_label(seed):
+    for k in range(1, 13):
+        bulk, reference = random.Random(seed), random.Random(seed)
+        assert random_portrait(bulk, k) == _per_label_draw(reference, k)
+        assert bulk.getstate() == reference.getstate()
+        for count in (0, 1, 7, 2000 if k < 7 else 50):
+            bulk, reference = random.Random(seed), random.Random(seed)
+            assert random_portrait_counts(bulk, k, count) == Counter(
+                random_portrait(reference, k) for _ in range(count)
+            )
+            assert bulk.getstate() == reference.getstate()
 
 
 # -- compose / inverse ------------------------------------------------------

@@ -256,6 +256,22 @@ def test_sign_law_claim_builds_one_leaf_permutation_per_portrait(monkeypatch, k,
     assert 0 < len(judged) <= distinct
 
 
+@pytest.mark.parametrize("k, distinct", [(2, 8), (3, 128)])
+def test_sign_law_claim_builds_one_portrait_per_distinct_draw(monkeypatch, k, distinct):
+    built = 0
+    real = Portrait.__post_init__
+
+    def counting(self):
+        nonlocal built
+        built += 1
+        real(self)
+
+    monkeypatch.setattr(Portrait, "__post_init__", counting)
+    params = {"kind": "B", "k": k, "seed": 1729, "samples": 2000}
+    assert verify.run_claim("tree/sign-law-violations", params).computed == 0
+    assert 0 < built <= distinct
+
+
 FIXTURES = sorted((Path(__file__).parent / "data").glob("verify_*.json"))
 
 

@@ -1,11 +1,18 @@
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
 from conftest import portrait_from_mask, random_portrait
 from sylow2.permgroup import format_cycles
-from sylow2.portrait import compose, format_portrait, identity, inverse, leaf_permutation
+from sylow2.portrait import (
+    Portrait,
+    compose,
+    format_portrait,
+    identity,
+    inverse,
+    leaf_permutation,
+)
 from sylow2.wreath import (
     GroupKind,
     all_portraits,
@@ -79,6 +86,18 @@ def test_all_portraits_counts_labels_up_from_mask_zero():
         assert list(all_portraits(k)) == expected
 
 
+def _product_census(k):
+    """The reference census: every label tuple from product, reversed so
+    that label 0 varies fastest."""
+    for labels in product(b"\0\1", repeat=(1 << k) - 1):
+        yield Portrait(k, bytes(reversed(labels)))
+
+
+def test_all_portraits_matches_the_product_census():
+    for k in range(1, 5):
+        assert list(all_portraits(k)) == list(_product_census(k))
+
+
 def test_leaf_action_is_faithful_and_fills_B3():
     # distinct portraits act differently on the leaves, and the 128 images
     # are exactly the oracle group generated by the one-label-per-level set
@@ -141,6 +160,13 @@ def test_w_census():
     for k in (2, 3, 4):
         count = sum(1 for g in all_portraits(k) if in_W(g))
         assert count == order_formula(GroupKind("W", k))
+
+
+def test_in_W_matches_its_definition_on_every_small_portrait():
+    for k in (2, 3, 4):
+        for g in all_portraits(k):
+            upper_empty = not any(any(g.level_bits(l)) for l in range(k - 1))
+            assert in_W(g) == (upper_empty and sum(g.level_bits(k - 1)) % 2 == 0)
 
 
 def test_w_is_elementary_abelian_and_normal():
@@ -297,6 +323,7 @@ def test_diagonal_base_counts_closed_forms():
     (lambda: enumerate_diagonal_bases("G", 1), "kind G needs depth >= 2"),
     (lambda: enumerate_diagonal_bases("B", 5), "diagonal enumeration is capped at depth 4"),
     (lambda: in_W(identity(1)), "W needs depth >= 2"),
+    (lambda: next(all_portraits(0)), "depth must be >= 1 (the depth-0 tree is empty)"),
     (lambda: is_type_T(identity(1)), "type T needs depth >= 2"),
     (lambda: is_type_C(identity(1)), "type C needs depth >= 2"),
     (lambda: tau_at(1, [1]), "depth must be >= 2"),
