@@ -32,7 +32,7 @@ _MEMBER_PREDICATES = {
     "W": wreath.in_W,
     "derived-B": derived.in_derived_B,
     "derived-G": derived.in_derived_G,
-    "frattini-G": derived.in_frattini_G,
+    "frattini-G": derived.in_derived_G,  # in G, Frattini = derived
     "typeT": wreath.is_type_T,
     "typeC": wreath.is_type_C,
 }

@@ -4,7 +4,9 @@ Reducing the level label counts mod 2 gives the abelianization of the full
 wreath power B onto k copies of C2; on the even subgroup G the bottom
 coordinate is counted on the first half of the last level instead.  Derived
 membership is the kernel of these maps, and so is Frattini membership in G,
-whose Frattini quotient is therefore elementary abelian of rank k.
+whose Frattini quotient is therefore elementary abelian of rank k.  The
+command line answers ``member frattini-G`` through ``in_derived_G``;
+``in_frattini_G`` keeps its ValueError outside G for its library callers.
 
 The module holds label predicates only.  The oracle-side suites in the
 tests rebuild the same subgroups from generator squares and commutators and
@@ -57,6 +59,9 @@ def format_parity_vector(v) -> str:
 def in_frattini_G(g: Portrait) -> bool:
     """Frattini membership for G, the kernel of abelianization_G: it
     coincides with the derived subgroup (squares generate nothing beyond
-    the commutators here)."""
+    the commutators here).  Raises ValueError outside G, where
+    ``in_derived_G`` returns False; the reference of the portrait-calc
+    benchmark relies on that error, while the CLI's ``frattini-G`` answers
+    through ``in_derived_G``."""
     return not any(abelianization_G(g))
 

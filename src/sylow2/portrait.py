@@ -131,6 +131,8 @@ def _draw_labels(rng, k: int, count: int) -> bytes:
     first, in generator order, and ``getrandbits(1)`` is the top bit of one
     word; so the top bit of every fourth little-endian byte is the next
     label, and the rng state afterwards is the same."""
+    if k < 1:
+        raise ValueError("depth must be >= 1 (the depth-0 tree is empty)")
     words = count * ((1 << k) - 1)
     little_endian = rng.getrandbits(32 * words).to_bytes(4 * words, "little")
     return little_endian[3::4].translate(_TOP_BIT)
@@ -147,10 +149,8 @@ def random_portrait_counts(rng, k: int, count: int) -> Counter:
     """``Counter(random_portrait(rng, k) for _ in range(count))``, from one
     rng call: the label tables are counted as bytes first, and one
     ``Portrait`` is built per distinct table."""
-    if k < 1:
-        raise ValueError("depth must be >= 1 (the depth-0 tree is empty)")
-    size = (1 << k) - 1
     labels = _draw_labels(rng, k, count)
+    size = (1 << k) - 1
     tables = Counter(labels[i : i + size] for i in range(0, len(labels), size))
     return Counter({Portrait(k, bits): m for bits, m in tables.items()})
 

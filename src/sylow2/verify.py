@@ -280,11 +280,17 @@ def _plan_sign_law(kind, target, level, seed):
 def plan_claims(kind: str, target: int, level: str, seed: int) -> list[tuple[str, dict]]:
     """The claims to run for one verification target: the ``plan`` of each
     ``CLAIMS`` entry, sorted by claim id.  First raises ValueError for an
-    unknown level or kind, for a target outside n >= 1 (kinds A and S),
-    1 <= k <= 7 (B) or 2 <= k <= 7 (G), naming the bound, and for a full A
-    or S run above the oracle limit, where a quick one runs only formulas."""
+    unknown level, for a target or seed that is not an int (so no record
+    is written that ``recompute`` refuses), for an unknown kind, for a
+    target outside n >= 1 (kinds A and S), 1 <= k <= 7 (B) or 2 <= k <= 7
+    (G), naming the bound, and for a full A or S run above the oracle
+    limit, where a quick one runs only formulas."""
     if level not in ("quick", "full"):
         raise ValueError(f"unknown level {level!r}")
+    if type(target) is not int:
+        raise ValueError(f"verify needs an integer n or k, got {target!r}")
+    if type(seed) is not int:
+        raise ValueError(f"verify needs an integer seed, got {seed!r}")
     if kind in ("A", "S"):
         if target < 1:
             raise ValueError(f"verify {kind} needs n >= 1, got {target}")

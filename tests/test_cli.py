@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import sylow2
-from sylow2 import derived, verify
+from sylow2 import cli, derived, verify, wreath
 from sylow2.cli import build_parser, main
 from sylow2.permgroup import format_cycles
 from sylow2.portrait import (
@@ -19,7 +19,7 @@ from sylow2.portrait import (
     leaf_permutation,
     random_portrait,
 )
-from sylow2.wreath import in_G
+from sylow2.wreath import all_portraits, in_G
 
 
 def run(capsys, *argv):
@@ -136,9 +136,42 @@ def test_member_parse_failure_exits_2(capsys):
     assert "error" in err
 
 
-def test_member_frattini_outside_G_exits_2(capsys):
-    code, _, err = run(capsys, "member", "frattini-G", "0/00/1000")
-    assert code == 2
+def test_member_frattini_outside_G_prints_no(capsys):
+    # Phi(G) = G', so frattini-G answers as derived-G does outside G too
+    assert run(capsys, "member", "frattini-G", "0/00/1000") == (0, "no\n", "")
+
+
+# the library predicate each member name answers with
+MEMBER_ANSWERS = {
+    "G": in_G,
+    "W": wreath.in_W,
+    "derived-B": derived.in_derived_B,
+    "derived-G": derived.in_derived_G,
+    "frattini-G": derived.in_derived_G,
+    "typeT": wreath.is_type_T,
+    "typeC": wreath.is_type_C,
+}
+
+
+def test_member_matches_the_library(capsys):
+    # every name prints the library's yes or no on every portrait of depths
+    # 2 and 3 and on seeded ones at depths 4-8; at depth 1 only derived-B
+    # answers, and every other name exits 2
+    assert set(MEMBER_ANSWERS) == set(cli._MEMBER_PREDICATES)
+    rng = random.Random(30)
+    sampled = [random_portrait(rng, depth) for depth in range(4, 9)
+               for _ in range(40)]
+    portraits = [*all_portraits(2), *all_portraits(3), *sampled]
+    for name, predicate in MEMBER_ANSWERS.items():
+        for g in portraits:
+            answer = "yes\n" if predicate(g) else "no\n"
+            assert run(capsys, "member", name, format_portrait(g)) == (0, answer, "")
+        for text in ("0", "1"):
+            code, out, _ = run(capsys, "member", name, text)
+            if name == "derived-B":
+                assert (code, out) == (0, "yes\n" if text == "0" else "no\n")
+            else:
+                assert (code, out) == (2, "")
 
 
 def test_calc_mul(capsys):
@@ -420,7 +453,7 @@ def test_parser_built_once_and_reused_cleanly(capsys):
     sequence = [
         ("calc", "mul", "1/00", "0/10"),
         ("order", "X", "8"),  # argparse usage error
-        ("member", "frattini-G", "0/00/1000"),  # not in G
+        ("member", "derived-G", "1"),  # G is undefined at depth 1
         ("order", "A", "8"),
     ]
     alone = [run_alone(*argv) for argv in sequence]

@@ -56,8 +56,17 @@ def test_depth_zero_rejected():
         identity(0)
     with pytest.raises(ValueError, match="depth must be >= 1"):
         from_vertices(0, [])
-    with pytest.raises(ValueError, match="depth must be >= 1"):
-        random_portrait_counts(random.Random(0), 0, 5)
+    # the draws check the depth before they touch the rng
+    for draw in (lambda rng: random_portrait(rng, 0),
+                 lambda rng: random_portrait(rng, -1),
+                 lambda rng: random_portrait_counts(rng, 0, 5),
+                 lambda rng: random_portrait_counts(rng, -1, 5)):
+        rng = random.Random(0)
+        state = rng.getstate()
+        with pytest.raises(ValueError) as info:
+            draw(rng)
+        assert str(info.value) == "depth must be >= 1 (the depth-0 tree is empty)"
+        assert rng.getstate() == state
 
 
 def test_from_vertices_inverts_active_vertices():

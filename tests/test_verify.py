@@ -59,6 +59,14 @@ BAD_KINDS = ["", "AS", "BG", "a", None, ["A"]]
      "closure cap exceeded"),
     *[(lambda kind=kind: verify.plan_claims(kind, 4, "full", 1),
        f"unknown kind {kind!r}") for kind in BAD_KINDS],
+    # non-int targets and seeds: planned before, and a float seed made
+    # records that recompute refuses
+    (lambda: verify.run_verification("B", 3, "quick", seed=1.5),
+     "verify needs an integer seed, got 1.5"),
+    (lambda: verify.run_verification("A", 4.0),
+     "verify needs an integer n or k, got 4.0"),
+    (lambda: verify.run_verification("A", True),
+     "verify needs an integer n or k, got True"),
 ])
 def test_error_texts(call, message):
     with pytest.raises(ValueError) as info:
