@@ -20,7 +20,12 @@ index-2 steps, keeping N normal in G at every one: an element of G is
 adjoined after its square and its commutator with each generator of G, so
 each step costs one commutator per generator of G, the usual way p-group
 algorithms grow a normal subgroup down a central series (Holt, Eick and
-O'Brien, *Handbook of Computational Group Theory*, 2005).  Generators of a
+O'Brien, *Handbook of Computational Group Theory*, 2005).  Neither kind of
+step forms or sifts what it can prove trivial: an involution (most of the
+elements these groups are built from) is its own inverse and has no square
+to extend by, a commutator with a generator the element commutes with is
+not finished, and the Frattini and derived subgroups are seeded with the
+nontrivial squares and commutators of G's generators only.  Generators of a
 group that is not a 2-group raise ``ValueError``.  Oracle claims stay at
 degree <= ``verify.ORACLE_LIMIT`` (``verify.plan_claims``).  No step is
 randomized, so every order or membership answer is exact, not Monte Carlo.
@@ -221,8 +226,10 @@ class PermGroup:
         First make raw normalise the group H built so far, with its square
         in H, by extending with the square and then with more elements;
         then H and raw generate a group with H at index 2, and the sift at
-        the top is reused unless H grew since.  Which elements come second
-        depends on the mode:
+        the top is reused unless H grew since.  The identity is a member, so
+        no step extends by it: when raw squares to the identity, raw is its
+        own inverse and neither the square nor an inversion is taken.
+        Which elements come second depends on the mode:
 
         - Chain build (no ambient set): each conjugate raw.h.raw^-1 of an
           element h of ``_normalisers``, a generating set of H that grows
@@ -234,7 +241,8 @@ class PermGroup:
           the replacement moves no element it has yet to visit.
         - Normal closure (ambient pairs (g, g^-1) for the generators of a
           group G that holds raw and in which H is normal): each
-          commutator [raw, g] = raw.g.raw^-1.g^-1.  raw normalises H
+          commutator [raw, g] = raw.g.raw^-1.g^-1 other than the identity,
+          so g is skipped when raw.g.raw^-1 = g.  raw normalises H
           because H is normal in G, and once H holds these commutators,
           g.raw.g^-1 = [g, raw].raw lies in the group that H and raw
           generate, so that group is normal in G again.  The commutators
@@ -270,12 +278,18 @@ class PermGroup:
             raise ValueError("not a 2-group: an element recurred while extending")
         path[raw] = size
         start = len(self._normalisers)
-        self._extend(mult_perm(raw, raw), depth + 1, path, ambient)
-        inverse = inv_perm(raw)
+        square = mult_perm(raw, raw)
+        if square == self._identity:
+            inverse = raw
+        else:
+            self._extend(square, depth + 1, path, ambient)
+            inverse = inv_perm(raw)
         if ambient:
             for g, g_inv in ambient:
-                commutator = mult_perm(raw, mult_perm(g, mult_perm(inverse, g_inv)))
-                self._extend(commutator, depth + 1, path, ambient)
+                conjugate = mult_perm(raw, mult_perm(g, inverse))
+                if conjugate != g:
+                    commutator = mult_perm(conjugate, g_inv)
+                    self._extend(commutator, depth + 1, path, ambient)
         else:
             for h in self._normalisers:  # the list grows as H does
                 conjugate = mult_perm(raw, mult_perm(h, inverse))
@@ -377,27 +391,39 @@ def normal_closure(G: PermGroup, seeds) -> PermGroup:
         if not G.contains(s):  # which checks the degree first
             raise ValueError("seed is not in G")
     N = type(G)(G.degree)
-    ambient = [(g.images, inv_perm(g.images)) for g in G.generators]
+    ambient = _inverse_pairs(G.generators)
     for s in seeds:
         N.generators += map(Permutation, N._adjoin(s.images, ambient))
     return N
 
 
-def _commutators(gens) -> list[Permutation]:
-    """The commutators [a, b] = a.b.a^-1.b^-1 of the pairs a before b of
-    gens: [a, a] = 1 and [b, a] = [a, b]^-1 add nothing to a normal
-    closure.  Each generator is inverted once, and each commutator is
+def _inverse_pairs(gens) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The pairs (g, g^-1) of image tuples: an involution, found by one
+    product, is its own inverse, and any other generator is inverted."""
+    pairs = []
+    for g in gens:
+        a = g.images
+        pairs.append((a, a if mult_perm(a, a) == tuple(range(len(a))) else inv_perm(a)))
+    return pairs
+
+
+def _commutators(pairs) -> list[Permutation]:
+    """The nontrivial commutators [a, b] = a.b.a^-1.b^-1 of the pairs
+    (a, a^-1) before (b, b^-1): [a, a] = 1 and [b, a] = [a, b]^-1 add
+    nothing to a normal closure, and neither does a commuting pair, found
+    when a.b.a^-1 = b before the last product.  Each commutator is
     multiplied out on image tuples and then wrapped in one ``Permutation``."""
-    pairs = [(g.images, inv_perm(g.images)) for g in gens]
-    return [
-        Permutation(mult_perm(a, mult_perm(b, mult_perm(a_inv, b_inv))))
-        for (a, a_inv), (b, b_inv) in combinations(pairs, 2)
-    ]
+    out = []
+    for (a, a_inv), (b, b_inv) in combinations(pairs, 2):
+        conjugate = mult_perm(a, mult_perm(b, a_inv))
+        if conjugate != b:
+            out.append(Permutation(mult_perm(conjugate, b_inv)))
+    return out
 
 
 def derived_subgroup(G: PermGroup) -> PermGroup:
     """Commutator subgroup [G, G]."""
-    return normal_closure(G, _commutators(G.generators))
+    return normal_closure(G, _commutators(_inverse_pairs(G.generators)))
 
 
 def frattini_of_2group(G: PermGroup) -> PermGroup:
@@ -405,11 +431,14 @@ def frattini_of_2group(G: PermGroup) -> PermGroup:
 
     For a finite 2-group the Frattini subgroup equals G^2 [G,G]; as a normal
     subgroup it is generated by the squares and pairwise commutators of any
-    generating set, which is what gets closed here.  Each square, like each
-    commutator, is one ``Permutation`` built from its image tuple.
+    generating set, which is what gets closed here.  A generator squares to
+    the identity exactly when it is its own inverse, and the identity adds
+    nothing, so only the other generators' squares are seeds; each, like
+    each commutator, is one ``Permutation`` built from its image tuple.
     """
-    squares = [Permutation(mult_perm(g.images, g.images)) for g in G.generators]
-    return normal_closure(G, squares + _commutators(G.generators))
+    pairs = _inverse_pairs(G.generators)
+    squares = [Permutation(mult_perm(a, a)) for a, a_inv in pairs if a_inv != a]
+    return normal_closure(G, squares + _commutators(pairs))
 
 
 def rank_of_2group(G: PermGroup) -> int:

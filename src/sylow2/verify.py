@@ -42,7 +42,7 @@ import json
 import random
 import time
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from itertools import chain, groupby, product
 from operator import itemgetter
 from typing import Callable
@@ -385,7 +385,10 @@ def report_to_json(kind, target, level, seed, records, run=None) -> dict:
         "level": level,
         "seed": seed,
         "pass": all(r.passed for r in records),
-        "claims": [asdict(r) for r in records],
+        # a record holds plain JSON values, so a shallow copy with its own
+        # params dict writes the same text as a dataclasses.asdict deep
+        # copy, at a fraction of the cost
+        "claims": [{**vars(r), "params": dict(r.params)} for r in records],
     }
     if "composite/order-log2" in computed:
         params = {"kind": kind, "n": target}

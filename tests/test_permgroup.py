@@ -1,5 +1,6 @@
 import ast
 import bisect
+import collections
 import inspect
 import itertools
 import random
@@ -680,76 +681,105 @@ def test_diagonal_and_random_chains_match_all_extensions():
         assert_matches_all_extensions(gens, degree, randoms[degree])
 
 
+def counted_work(monkeypatch, build):
+    """What build() returns, and its calls of mult_perm, inv_perm and
+    PermGroup._extend, by name."""
+    calls = collections.Counter()
+
+    def counting(name, real):
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    with monkeypatch.context() as patch:
+        for owner, name in ((permgroup, "mult_perm"), (permgroup, "inv_perm"),
+                            (PermGroup, "_extend")):
+            patch.setattr(owner, name, counting(name, getattr(owner, name)))
+        result = build()
+    return result, calls
+
+
+# _extend and inv_perm calls of the chain builds below.  An involution's
+# square is the identity, so it is its own inverse and nothing is extended
+# by its square; these generating sets are involutions.
+CHAIN_EXTENDS_AND_INVERSIONS = {
+    ("S", 32): (86, 20), ("A", 32): (91, 20), ("A", 128): (492, 105),
+}
+
+
 @pytest.mark.parametrize("kind, n, bound", [("S", 32, 700), ("A", 32, 700), ("A", 128, 6000)])
 def test_chain_build_work(monkeypatch, kind, n, bound):
     # AllExtensionsGroup takes 1878, 1684 and 33,823 products here, and
     # PermGroup, conjugating by a generating set of H, 548, 582 and 4606
-    calls = 0
-
-    def counting(a, b):
-        nonlocal calls
-        calls += 1
-        return mult_perm(a, b)
-
     gens = composite.build_gens(kind, n)
-    monkeypatch.setattr(permgroup, "mult_perm", counting)
-    G = PermGroup(n, gens)
+    G, calls = counted_work(monkeypatch, lambda: PermGroup(n, gens))
     assert G.order == 1 << composite.order_log2_syl2(kind, n)
-    assert calls <= bound
+    extends, inversions = CHAIN_EXTENDS_AND_INVERSIONS[kind, n]
+    assert calls["mult_perm"] <= bound
+    assert calls["_extend"] <= extends
+    assert calls["inv_perm"] <= inversions
 
 
-def closure_products(monkeypatch, closure, G):
-    """The closure of G and the mult_perm calls it took."""
-    calls = 0
-
-    def counting(a, b):
-        nonlocal calls
-        calls += 1
-        return mult_perm(a, b)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(permgroup, "mult_perm", counting)
-        N = closure(G)
-    return N, calls
+def test_diagonal_chain_work(monkeypatch):
+    # most elements of the depth-4 diagonal groups are involutions, which
+    # are neither squared nor inverted
+    cases = random.Random(4).sample(_diagonal_sets("B", 4) + _diagonal_sets("G", 4), 512)
+    groups, calls = counted_work(monkeypatch, lambda: [PermGroup(16, gens) for gens in cases])
+    assert {G.order for G in groups} == {1 << 14, 1 << 15}
+    assert calls["mult_perm"] <= 96088
+    assert calls["_extend"] <= 18166
+    assert calls["inv_perm"] <= 4581
 
 
-# mult_perm calls of Phi(G) and G' for the Sylow 2-subgroup's generators: the
-# parameter is what the conjugate queue (queue_normal_closure) took, the
-# table what keeping N normal in G at every step, one commutator per
-# generator of G, takes
-FRATTINI_PRODUCTS = {("A", 32): 825, ("S", 32): 865, ("A", 128): 10371, ("S", 128): 10270}
-DERIVED_PRODUCTS = {("A", 32): 820, ("S", 32): 860, ("A", 128): 10364, ("S", 128): 10263}
+# mult_perm, _extend and inv_perm calls of Phi(G) and of G' for the Sylow
+# 2-subgroup's generators, keeping N normal in G at every step, one
+# commutator per generator of G, and forming no identity square or
+# commutator.  These generators are involutions, so both closures close the
+# same nontrivial seeds at the same cost.  The conjugate queue
+# (queue_normal_closure) took the products in the tests' parameters.
+CLOSURE_WORK = {
+    ("A", 32): (762, 67, 21),
+    ("S", 32): (795, 65, 22),
+    ("A", 128): (9962, 438, 113),
+    ("S", 128): (9836, 420, 114),
+}
+
+
+def assert_closure_work(monkeypatch, closure, kind, n, queue_products):
+    G = PermGroup(n, composite.build_gens(kind, n))
+    N, calls = counted_work(monkeypatch, lambda: closure(G))
+    # these Sylow 2-subgroups have an elementary abelian abelianisation, so
+    # P' is Phi(P)
+    assert N.order == G.order >> composite.rank_syl2(kind, n)
+    products, extends, inversions = CLOSURE_WORK[kind, n]
+    assert calls["mult_perm"] <= products < queue_products
+    assert calls["_extend"] <= extends
+    assert calls["inv_perm"] <= inversions
 
 
 @pytest.mark.parametrize("kind, n, queue_products", [
     ("A", 32, 1291), ("S", 32, 1412), ("A", 128, 19517), ("S", 128, 19964),
 ])
 def test_frattini_closure_work(monkeypatch, kind, n, queue_products):
-    G = PermGroup(n, composite.build_gens(kind, n))
-    F, calls = closure_products(monkeypatch, frattini_of_2group, G)
-    assert F.order == G.order >> composite.rank_syl2(kind, n)
-    assert calls <= FRATTINI_PRODUCTS[kind, n] < queue_products
+    assert_closure_work(monkeypatch, frattini_of_2group, kind, n, queue_products)
 
 
 @pytest.mark.parametrize("kind, n, queue_products", [
     ("A", 32, 1286), ("S", 32, 1407), ("A", 128, 19510), ("S", 128, 19957),
 ])
 def test_derived_closure_work(monkeypatch, kind, n, queue_products):
-    # these Sylow 2-subgroups have an elementary abelian abelianisation, so
-    # P' is Phi(P)
-    G = PermGroup(n, composite.build_gens(kind, n))
-    D, calls = closure_products(monkeypatch, derived_subgroup, G)
-    assert D.order == G.order >> composite.rank_syl2(kind, n)
-    assert calls <= DERIVED_PRODUCTS[kind, n] < queue_products
+    assert_closure_work(monkeypatch, derived_subgroup, kind, n, queue_products)
 
 
 @pytest.mark.parametrize("closure, squares, built", [
-    (frattini_of_2group, True, 40), (derived_subgroup, False, 35),
+    (frattini_of_2group, True, 35), (derived_subgroup, False, 35),
 ])
 def test_closure_builds_one_permutation_per_seed_and_generator(
         monkeypatch, closure, squares, built):
-    # each seed is multiplied out on image tuples and wrapped once; the rest
-    # are the generators of the closure
+    # each nontrivial seed is multiplied out on image tuples and wrapped
+    # once; the rest are the generators of the closure.  The generators of
+    # A_32's Sylow 2-subgroup are involutions, so their squares are no seeds.
     G = PermGroup(32, composite.build_gens("A", 32))
     made = 0
     real = Permutation.__post_init__
@@ -761,9 +791,15 @@ def test_closure_builds_one_permutation_per_seed_and_generator(
 
     monkeypatch.setattr(Permutation, "__post_init__", counting)
     N = closure(G)
-    r = len(G.generators)
-    seeds = r * (r - 1) // 2 + (r if squares else 0)
-    assert made == seeds + len(N.generators) == built
+    gens = [g.images for g in G.generators]
+    identity = tuple(range(32))
+    seeds = [mult_perm(a, a) for a in gens] if squares else []
+    seeds += [
+        mult_perm(a, mult_perm(b, mult_perm(inv_perm(a), inv_perm(b))))
+        for a, b in itertools.combinations(gens, 2)
+    ]
+    nontrivial = sum(seed != identity for seed in seeds)
+    assert made == nontrivial + len(N.generators) == built
 
 
 # -- normal closures against the conjugate queue ------------------------------
@@ -810,6 +846,121 @@ def test_diagonal_and_random_closures_match_queue():
     assert len(cases) == 27 + 40
     for gens in cases:
         assert_closures_match_queue(gens, gens[0].degree)
+
+
+# -- the steps that no involution or commuting pair shortens ------------------
+
+# 2-groups with elements of order 4 and 8 and generators that do not commute
+HIGHER_ORDER_2GROUPS = {
+    "C4": (["(1,2,3,4)"], 4),
+    "C8": (["(1,2,3,4,5,6,7,8)"], 8),
+    "D16": (["(1,2,3,4,5,6,7,8)", "(2,8)(3,7)(4,6)"], 8),
+    "SD16": (["(1,2,3,4,5,6,7,8)", "(2,4)(3,7)(6,8)"], 8),
+    "Q8": (["(1,2,3,4)(5,6,7,8)", "(1,5,3,7)(2,8,4,6)"], 8),  # one involution
+}
+
+
+def recorded_extensions(monkeypatch, build):
+    """What build() returns, and (raw, ambient) of every PermGroup._extend
+    call it made, in order."""
+    calls = []
+    real = PermGroup._extend
+
+    def recording(self, raw, depth, path, ambient):
+        calls.append((raw, ambient))
+        return real(self, raw, depth, path, ambient)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(PermGroup, "_extend", recording)
+        result = build()
+    return result, calls
+
+
+def squared_non_involutions(calls):
+    """The calls whose raw is no involution and which extended by its
+    square, the call right after them."""
+    return [
+        raw
+        for (raw, _), (after, _) in zip(calls, calls[1:])
+        if mult_perm(raw, raw) == after != tuple(range(len(raw)))
+    ]
+
+
+def extended_commutators(calls):
+    """The nontrivial commutators [raw, g] with an ambient generator g that
+    a normal closure extended by."""
+    raws = {raw for raw, _ in calls}
+    return [
+        commutator
+        for raw, ambient in calls
+        for g, g_inv in ambient
+        if (commutator := mult_perm(raw, mult_perm(g, mult_perm(inv_perm(raw), g_inv))))
+        != tuple(range(len(raw))) and commutator in raws
+    ]
+
+
+def test_higher_order_steps_run_and_match_the_references(monkeypatch):
+    # the chain and both closures of each group must square an element of
+    # order 4 or more, or extend by a nontrivial commutator, and all three
+    # must match every reference
+    cases = {
+        name: (perms(texts, degree), degree)
+        for name, (texts, degree) in HIGHER_ORDER_2GROUPS.items()
+    }
+    randoms = [
+        (gens, n)
+        for n in RANDOM_2GROUP_DEGREES
+        for gens in random_2group_sets(n, random_perms(n, seed=n))
+    ]
+    cases.update(enumerate(randoms))
+    squared, commutators = {}, {}
+    for name, (gens, degree) in cases.items():
+        G, calls = recorded_extensions(monkeypatch, lambda: PermGroup(degree, gens))
+        squared[name] = len(squared_non_involutions(calls))
+        commutators[name] = 0
+        for closure in (frattini_of_2group, derived_subgroup):
+            _, calls = recorded_extensions(monkeypatch, lambda: closure(G))
+            squared[name] += len(squared_non_involutions(calls))
+            commutators[name] += len(extended_commutators(calls))
+        probes = random_perms(degree, seed=degree)
+        assert_matches_all_extensions(gens, degree, probes)
+        assert_matches_closure(gens, degree, probes)
+        assert_closures_match_queue(gens, degree)
+    assert all(squared[name] for name in HIGHER_ORDER_2GROUPS)
+    # Phi(Q8) is its centre, so no commutator with Q8 is nontrivial there
+    assert all(commutators[name] for name in ("D16", "SD16"))
+    # of the 40 random 2-groups, 32 square such an element and 23 extend by
+    # such a commutator
+    assert sum(bool(squared[i]) for i in range(len(randoms))) == 32
+    assert sum(bool(commutators[i]) for i in range(len(randoms))) == 23
+
+
+class ClosureBuiltGroup(ClosureGroup):
+    """Built by the closure, so any group is accepted, but its normal
+    closures grow by PermGroup's index-2 steps with its generators as the
+    ambient set."""
+
+    def _adjoin(self, raw, ambient=()):
+        if ambient:
+            return PermGroup._adjoin(self, raw, ambient)
+        return super()._adjoin(raw)
+
+
+@pytest.mark.parametrize("texts, degree, seed", [
+    (S4_GENS, 4, "(1,2,3)"),  # A4
+    (S4_GENS, 4, "(1,2)"),  # S4, from an involution
+    (["(1,2,3)"], 3, "(1,2,3)"),  # C3
+    (["(1,2,3,4,5,6,7,8)", "(1,2)"], 8, "(1,2)"),  # S8, from an involution
+])
+def test_non_2groups_still_raise(texts, degree, seed):
+    # an involution skips its square, and a commuting pair its commutator;
+    # the index-2 steps must still refuse a group that is not a 2-group,
+    # when it is generated and when it is a normal closure
+    G = closure_only(degree, perms(texts, degree))
+    with pytest.raises(ValueError, match="not a 2-group"):
+        normal_closure(ClosureBuiltGroup(degree, G.generators), [parse_cycles(seed, degree)])
+    with pytest.raises(ValueError, match="^seed is not in G$"):
+        normal_closure(PermGroup(degree), [parse_cycles(seed, degree)])
 
 
 def test_normal_closure_refuses_seeds_outside_G():

@@ -199,6 +199,25 @@ def test_report_document_structure():
         assert record["wall_time_s"] >= 0
 
 
+@pytest.mark.parametrize("kind,target,level", [
+    ("A", 12, "quick"), ("S", 31, "full"), ("B", 3, "full"), ("G", 4, "full"),
+])
+def test_report_text_matches_the_asdict_document(tmp_path, kind, target, level):
+    # the records are copied shallowly, each with its own params dict; the
+    # written text equals that of a dataclasses.asdict deep copy
+    records = [
+        replace(r, wall_time_s=0.0)
+        for r in verify.run_verification(kind, target, level)
+    ]
+    doc = verify.report_to_json(kind, target, level, 1729, records)
+    reference = {**doc, "claims": [asdict(r) for r in records]}
+    verify.write_report(tmp_path / "doc.json", doc)
+    verify.write_report(tmp_path / "reference.json", reference)
+    text = (tmp_path / "doc.json").read_text(encoding="utf-8")
+    assert text == (tmp_path / "reference.json").read_text(encoding="utf-8")
+    assert all(c["params"] is not r.params for c, r in zip(doc["claims"], records))
+
+
 def test_sign_law_claim_is_seed_stable():
     params = {"kind": "G", "k": 4, "seed": 7, "samples": 300}
     first = verify.run_claim("tree/sign-law-violations", params)
