@@ -113,25 +113,12 @@ def two_part_of_factorial(n: int) -> int:
     return e
 
 
-def order_log2_syl2_S(n: int) -> int:
-    """Exponent of the order, n - popcount(n), without forming the power."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    return n - n.bit_count()
-
-
-def order_log2_syl2_A(n: int) -> int:
-    """Exponent of the order: one less than for S_n once n >= 2."""
-    e = order_log2_syl2_S(n)
-    return e - 1 if n >= 2 else e
-
-
 def order_syl2_S(n: int) -> int:
-    return 1 << order_log2_syl2_S(n)
+    return 1 << order_log2_syl2("S", n)
 
 
 def order_syl2_A(n: int) -> int:
-    return 1 << order_log2_syl2_A(n)
+    return 1 << order_log2_syl2("A", n)
 
 
 def rank_syl2_S(n: int) -> int:
@@ -213,8 +200,10 @@ def build_gens_A(n: int) -> list[Permutation]:
     return [embed(t) for t in build_tuples_A(n)]
 
 
-# One entry point per job for a kind given as "A" or "S".  The _A and _S
-# functions are named when called, so a replaced module attribute is used.
+# One entry point per job for a kind given as "A" or "S".  order_log2_syl2
+# computes the exponent itself; rank_syl2, build_tuples and build_gens call
+# the matching _A or _S function (the benchmark names those), looked up when
+# called so that a replaced module attribute is used.
 
 def _by_kind(kind: str, for_A, for_S):
     if kind not in ("A", "S"):
@@ -223,7 +212,13 @@ def _by_kind(kind: str, for_A, for_S):
 
 
 def order_log2_syl2(kind: str, n: int) -> int:
-    return _by_kind(kind, order_log2_syl2_A, order_log2_syl2_S)(n)
+    """Exponent of the order, n - popcount(n), one less for A_n once
+    n >= 2, without forming the power."""
+    is_A = _by_kind(kind, True, False)
+    if n < 1:
+        raise ValueError("n must be positive")
+    e = n - n.bit_count()
+    return e - 1 if is_A and n >= 2 else e
 
 
 def rank_syl2(kind: str, n: int) -> int:

@@ -367,14 +367,13 @@ class PermGroup:
         return f"PermGroup(degree={self.degree}, order={self.order})"
 
 
-def group_from_generators(gens, degree: int | None = None) -> PermGroup:
-    """Build a group; an empty generator list gives the trivial group."""
+def group_from_generators(gens) -> PermGroup:
+    """The group of a nonempty generator list, of the first one's degree;
+    ``PermGroup(degree)`` is the trivial group."""
     gens = list(gens)
-    if degree is None:
-        if not gens:
-            raise ValueError("degree required for an empty generator list")
-        degree = gens[0].degree
-    return PermGroup(degree, gens)
+    if not gens:
+        raise ValueError("no generators")
+    return PermGroup(gens[0].degree, gens)
 
 
 def normal_closure(G: PermGroup, seeds) -> PermGroup:

@@ -185,16 +185,16 @@ def _claim_neighbor_ratios(params, run):
     """Order ratios of neighbouring n, compared as exponents of 2, so that
     no power of 2 is formed for large n."""
     n = params["n"]
-    log_a, log_s = composite.order_log2_syl2_A, composite.order_log2_syl2_S
+    log = composite.order_log2_syl2
     ok = True
     if n % 2 == 1 and n >= 3:
-        ok &= log_a(n) == log_a(n - 1)
-        ok &= log_s(n) == log_s(n - 1)
+        ok &= log("A", n) == log("A", n - 1)
+        ok &= log("S", n) == log("S", n - 1)
     if n % 4 == 3 and n >= 7:  # at n = 3 both sides are trivial groups
-        ok &= log_a(n) == log_a(n - 2) + 1
+        ok &= log("A", n) == log("A", n - 2) + 1
     if n % 2 == 0 and n >= 4:
         v = (n & -n).bit_length() - 1
-        ok &= log_a(n) == log_s(n - 1) + v - 1
+        ok &= log("A", n) == log("S", n - 1) + v - 1
     return bool(ok)
 
 

@@ -164,10 +164,7 @@ def order_formula(kind: GroupKind) -> int:
 
 def leaf_group(gens) -> permgroup.PermGroup:
     """Oracle group generated by the leaf actions of the given portraits."""
-    perms = [leaf_permutation(g) for g in gens]
-    if not perms:
-        raise ValueError("no generators")
-    return permgroup.PermGroup(perms[0].degree, perms)
+    return permgroup.group_from_generators([leaf_permutation(g) for g in gens])
 
 
 def _odd_weight_patterns(width):

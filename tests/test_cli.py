@@ -12,7 +12,6 @@ from sylow2 import cli, derived, verify, wreath
 from sylow2.cli import build_parser, main
 from sylow2.permgroup import format_cycles
 from sylow2.portrait import (
-    Portrait,
     compose,
     format_portrait,
     inverse,
@@ -234,10 +233,10 @@ CALC_ANSWERS = {
 
 
 def _into_G(g):
-    """g itself if it is in G, else g with its last label flipped."""
+    """g itself if it is in G, else g with its bottom-left label flipped."""
     if in_G(g):
         return g
-    return Portrait(g.depth, g.bits[:-1] + bytes([g.bits[-1] ^ 1]))
+    return compose(g, wreath.alpha(g.depth, g.depth - 1))
 
 
 def test_calc_matches_the_library(capsys):

@@ -223,9 +223,13 @@ def test_embed_expands_only_moved_blocks(monkeypatch, kind, expanded):
 def test_kind_dispatch_matches_the_A_and_S_functions(monkeypatch):
     for n in range(1, 41):
         for kind, by_name in (("A", "_A"), ("S", "_S")):
-            for job in ("order_log2_syl2", "rank_syl2", "build_tuples", "build_gens"):
+            for job in ("rank_syl2", "build_tuples", "build_gens"):
                 direct = getattr(composite, job + by_name)(n)
                 assert getattr(composite, job)(kind, n) == direct
+    # the order exponent has no _A / _S twin: check it against the formula
+    for n in range(1, 301):
+        assert composite.order_log2_syl2("S", n) == n - n.bit_count()
+        assert composite.order_log2_syl2("A", n) == n - n.bit_count() - (n >= 2)
     for kind in ("B", "a", ""):
         for job in (composite.order_log2_syl2, composite.rank_syl2,
                     composite.build_tuples, composite.build_gens):

@@ -13,7 +13,6 @@ from sylow2.derived import (
 )
 from sylow2.permgroup import derived_subgroup, frattini_of_2group
 from sylow2.portrait import (
-    Portrait,
     compose,
     format_portrait,
     identity,
@@ -21,17 +20,8 @@ from sylow2.portrait import (
     leaf_permutation,
     parse_portrait,
 )
-from sylow2.verify import run_claim
+from sylow2.verify import _random_g_element, run_claim
 from sylow2.wreath import all_portraits, alpha, gen_set_B, gen_set_G, in_G, leaf_group, tau
-
-
-def random_g_element(rng, k):
-    g = random_portrait(rng, k)
-    if in_G(g):
-        return g
-    bits = bytearray(g.bits)
-    bits[(1 << (k - 1)) - 1] ^= 1  # flip one bottom label to fix the parity
-    return Portrait(k, bytes(bits))
 
 
 # -- derived membership --------------------------------------------------------
@@ -149,7 +139,7 @@ def test_abelianization_homomorphism_random():
         assert abelianization_B(compose(g, h)) == tuple(
             a ^ b for a, b in zip(abelianization_B(g), abelianization_B(h))
         )
-        g, h = random_g_element(rng, k), random_g_element(rng, k)
+        g, h = _random_g_element(rng, k), _random_g_element(rng, k)
         assert abelianization_G(compose(g, h)) == tuple(
             a ^ b for a, b in zip(abelianization_G(g), abelianization_G(h))
         )

@@ -273,7 +273,7 @@ def test_permutation_validated():
     (lambda: parse_cycles("e", -1), "degree must be >= 0, got -1"),
     (lambda: Permutation.identity(-3), "degree must be >= 0, got -3"),
     (lambda: PermGroup(0), "degree must be positive"),
-    (lambda: group_from_generators([]), "degree required for an empty generator list"),
+    (lambda: group_from_generators([]), "no generators"),
     (lambda: normal_closure(PermGroup(4), [Permutation.identity(3)]), "degree mismatch"),
 ])
 def test_error_texts(call, message):
@@ -298,9 +298,20 @@ def test_order_a14_published_generators():
 
 
 def test_empty_generator_list_gives_trivial_group():
-    G = group_from_generators([], degree=5)
+    G = PermGroup(5)
     assert G.order == 1
     assert G.contains(Permutation.identity(5))
+
+
+def test_group_from_generators_is_the_one_list_to_group_builder():
+    with pytest.raises(ValueError) as direct:
+        group_from_generators([])
+    with pytest.raises(ValueError) as via_leaves:
+        wreath.leaf_group([])
+    assert str(direct.value) == str(via_leaves.value) == "no generators"
+    for gens in (perms(A14_PUBLISHED_GENS, 14), perms(["(1,2,3,4)", "(1,3)"], 4),
+                 build_gens_A(12), [leaf_permutation(g) for g in gen_set_G(4)]):
+        assert group_from_generators(gens).order == PermGroup(gens[0].degree, gens).order
 
 
 def test_order_matches_bruteforce_closure():
@@ -423,7 +434,7 @@ def test_frattini_of_tree_group():
 def test_rank_examples():
     assert rank_of_2group(group_from_generators(perms(["(1,2)", "(3,4)"], 4))) == 2
     assert rank_of_2group(group_from_generators(perms(A14_PUBLISHED_GENS, 14))) == 5
-    assert rank_of_2group(group_from_generators([], degree=3)) == 0
+    assert rank_of_2group(PermGroup(3)) == 0
 
 
 def test_enumerate_elements():

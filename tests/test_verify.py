@@ -389,9 +389,9 @@ def test_selftest_prints_one_ok_line_per_claim_id(capsys, seed):
 def test_selftest_groups_the_neighbor_ratio_records_into_one_line(monkeypatch,
                                                                   capsys):
     # off by one at n = 40 breaks the records of n = 40 and n = 41 alone
-    real = verify.composite.order_log2_syl2_A
-    monkeypatch.setattr(verify.composite, "order_log2_syl2_A",
-                        lambda n: real(n) + (n == 40))
+    real = verify.composite.order_log2_syl2
+    monkeypatch.setattr(verify.composite, "order_log2_syl2",
+                        lambda kind, n: real(kind, n) + (kind == "A" and n == 40))
     assert cli.main(["selftest"]) == 1
     out, err = capsys.readouterr()
     want = [f"ok   {name}" for name in SELFTEST_NAMES]
