@@ -25,9 +25,14 @@ step forms or sifts what it can prove trivial: an involution (most of the
 elements these groups are built from) is its own inverse and has no square
 to extend by, a commutator with a generator the element commutes with is
 not finished, and the Frattini and derived subgroups are seeded with the
-nontrivial squares and commutators of G's generators only.  Generators of a
-group that is not a 2-group raise ``ValueError``.  Oracle claims stay at
-degree <= ``verify.ORACLE_LIMIT`` (``verify.plan_claims``).  No step is
+nontrivial squares and commutators of G's generators only.  Nor does one
+construction (a chain build or a normal closure) sift an element again once
+it is known to be a member: an element whose sift gave the identity, or
+whose extension has finished, is a member, and the group only grows while
+it is built, so the element is recorded and returns at once when offered
+again.  The record is dropped when the construction returns.  Generators
+of a group that is not a 2-group raise ``ValueError``.  Oracle claims stay
+at degree <= ``verify.ORACLE_LIMIT`` (``verify.plan_claims``).  No step is
 randomized, so every order or membership answer is exact, not Monte Carlo.
 """
 
@@ -158,6 +163,11 @@ def format_cycles(p: Permutation) -> str:
     return "(" + ")(".join([",".join([str(x + 1) for x in c]) for c in cycles]) + ")"
 
 
+# _extend's record mark for an element that is a member; an extension count
+# is never negative
+_FINISHED = -1
+
+
 class PermGroup:
     """A 2-group of permutations with an exact base-and-strong-generating-set
     chain.
@@ -172,8 +182,11 @@ class PermGroup:
     the constructor or from ``normal_closure``.  Elements enter the chain
     only through ``_adjoin``: the constructor adjoins each generator, and
     ``normal_closure`` adjoins each seed the same way, with G's generators
-    as the ambient set, before it returns the group.  ``order`` and ``contains`` are exact.
-    Instances are immutable once returned and safe to query concurrently.
+    as the ambient set, before it returns the group.  Either passes one
+    record to all its ``_adjoin`` calls, so that no element known to be a
+    member is sifted again, and keeps it only until it returns.  ``order`` and ``contains``
+    are exact.  Instances are immutable once returned and safe to query
+    concurrently.
     """
 
     def __init__(self, degree: int, generators=()):
@@ -193,26 +206,31 @@ class PermGroup:
         # per level: orbit point -> u^-1, for the coset representative u
         # with u(base) = point
         self._transversals: list[dict[int, tuple[int, ...]]] = []
+        record = {}  # one construction's record for _extend; dropped on return
         for g in generators:
             if g.degree != degree:
                 raise ValueError("degree mismatch among generators")
-            self._adjoin(g.images)
+            self._adjoin(g.images, record)
             self.generators.append(g)
 
     # -- construction ----------------------------------------------------
 
-    def _adjoin(self, raw, ambient=()) -> list:
+    def _adjoin(self, raw, record, ambient=()) -> list:
         """Extend the chain with one permutation; return the elements whose
         index-2 steps grew the group, which generate it together with the
         group before (none when raw was a member).
 
-        ``ambient`` holds pairs (g, g^-1) for the generators of a 2-group G
-        that contains raw and in which the group is normal; the group then
-        stays normal in G at every step (see ``_extend``).
+        ``record`` is ``_extend``'s record of one construction: a dict that
+        starts empty and is passed to every ``_adjoin`` of that construction
+        and then dropped, so an element known to be a member is not sifted
+        again, however many of its calls offer it (see ``_extend``).  ``ambient`` holds pairs
+        (g, g^-1) for the generators of a 2-group G that contains raw and
+        in which the group is normal; the group then stays normal in G at
+        every step (see ``_extend``).
         """
         start = len(self._normalisers)
         try:
-            self._extend(raw, 0, {}, ambient)
+            self._extend(raw, 0, record, ambient)
         except RecursionError:
             raise ValueError(
                 "index-2 extensions nested beyond the interpreter's "
@@ -220,7 +238,7 @@ class PermGroup:
             ) from None
         return self._normalisers[start:]
 
-    def _extend(self, raw, depth, path, ambient):
+    def _extend(self, raw, depth, record, ambient):
         """Add raw by index-2 steps; a member returns at once.
 
         First make raw normalise the group H built so far, with its square
@@ -262,39 +280,49 @@ class PermGroup:
         - Take j maximal with raw in P_j.H.  While H does not grow, every
           element nested below raw lies in P_(j+1).H, which does not hold
           raw; so raw recurring on the nesting path with H unchanged since
-          its entry proves P is not a 2-group.  ``path`` maps each element
+          its entry proves P is not a 2-group.  ``record`` maps each element
           whose extension has started to the number of extension elements
-          at its latest start, a count that grows exactly when H does.  An
-          element whose extension has finished is a member and never comes
-          back, so only elements on the nesting path can recur.
+          at its latest start, a count that grows exactly when H does.
+
+        ``record`` lasts one construction (see ``_adjoin``) and also marks
+        ``_FINISHED`` every element whose extension has finished or whose
+        sift gave the identity.  Such an element is a member, and H only
+        grows, so it stays one: offered again, it returns at once, before
+        the sift, which would only have returned the identity and changed
+        nothing.  So no construction sifts a member it has recorded, and
+        only elements on the nesting path can recur.
         """
+        mark = record.get(raw)
+        if mark == _FINISHED:
+            return
         residue, level = self._strip(raw)
         if residue == self._identity:
+            record[raw] = _FINISHED
             return
         if depth > self.degree:
             raise ValueError("not a 2-group: index-2 nesting deeper than the degree")
         size = len(self._extensions)
-        if path.get(raw) == size:
+        if mark == size:
             raise ValueError("not a 2-group: an element recurred while extending")
-        path[raw] = size
+        record[raw] = size
         start = len(self._normalisers)
         square = mult_perm(raw, raw)
         if square == self._identity:
             inverse = raw
         else:
-            self._extend(square, depth + 1, path, ambient)
+            self._extend(square, depth + 1, record, ambient)
             inverse = inv_perm(raw)
         if ambient:
             for g, g_inv in ambient:
                 conjugate = mult_perm(raw, mult_perm(g, inverse))
                 if conjugate != g:
                     commutator = mult_perm(conjugate, g_inv)
-                    self._extend(commutator, depth + 1, path, ambient)
+                    self._extend(commutator, depth + 1, record, ambient)
         else:
             for h in self._normalisers:  # the list grows as H does
                 conjugate = mult_perm(raw, mult_perm(h, inverse))
                 if conjugate != h:
-                    self._extend(conjugate, depth + 1, path, ambient)
+                    self._extend(conjugate, depth + 1, record, ambient)
         if len(self._extensions) > size:  # H grew, so the top sift is stale
             residue, level = self._strip(raw)
         if residue == raw:  # the sift moved nothing
@@ -305,6 +333,7 @@ class PermGroup:
             self._normalisers[start:] = [raw]
         elif residue != self._identity:
             self._normalisers.append(raw)
+        record[raw] = _FINISHED
 
     def _double(self, raw, level, inverse):
         """Extend by raw, which fixes bases[:level], normalises the group
@@ -391,8 +420,9 @@ def normal_closure(G: PermGroup, seeds) -> PermGroup:
             raise ValueError("seed is not in G")
     N = type(G)(G.degree)
     ambient = _inverse_pairs(G.generators)
+    record = {}  # one construction's record for _extend; dropped on return
     for s in seeds:
-        N.generators += map(Permutation, N._adjoin(s.images, ambient))
+        N.generators += map(Permutation, N._adjoin(s.images, record, ambient))
     return N
 
 

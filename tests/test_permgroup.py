@@ -1,6 +1,7 @@
 import ast
 import bisect
 import collections
+import copy
 import inspect
 import itertools
 import random
@@ -54,7 +55,7 @@ class ClosureGroup(PermGroup):
         self._sifted = set()  # (level, point, generator index) done
         super().__init__(degree, generators)
 
-    def _adjoin(self, raw, ambient=()):
+    def _adjoin(self, raw, record, ambient=()):
         grew = []
         queue = [raw]
         while queue:
@@ -611,26 +612,26 @@ class AllExtensionsGroup(PermGroup):
     group would grow here where PermGroup's does not.  normal_closure builds
     type(G), so Frattini and derived subgroups use it all the way down."""
 
-    def _extend(self, raw, depth, path, ambient):
+    def _extend(self, raw, depth, record, ambient):
         residue, level = self._strip(raw)
         if residue == self._identity:
             return
         if depth > self.degree:
             raise ValueError("not a 2-group: index-2 nesting deeper than the degree")
         size = len(self._extensions)
-        if path.get(raw) == size:
+        if record.get(raw) == size:
             raise ValueError("not a 2-group: an element recurred while extending")
-        path[raw] = size
+        record[raw] = size
         start = len(self._normalisers)
-        self._extend(mult_perm(raw, raw), depth + 1, path, ambient)
+        self._extend(mult_perm(raw, raw), depth + 1, record, ambient)
         inverse = inv_perm(raw)
         for h in self._extensions:  # the list grows as H does
             conjugate = mult_perm(raw, mult_perm(h, inverse))
             if conjugate != h:
-                self._extend(conjugate, depth + 1, path, ambient)
+                self._extend(conjugate, depth + 1, record, ambient)
         for g, g_inv in ambient:
             commutator = mult_perm(raw, mult_perm(g, mult_perm(inverse, g_inv)))
-            self._extend(commutator, depth + 1, path, ambient)
+            self._extend(commutator, depth + 1, record, ambient)
         if len(self._extensions) > size:
             residue, level = self._strip(raw)
         if residue == raw:
@@ -662,8 +663,8 @@ def assert_matches_all_extensions(gens, degree, randoms):
     assert [sorted(t) for t in fast._transversals] == [sorted(t) for t in ref._transversals]
     for p in membership_probes(gens, randoms):
         assert fast.contains(p) == ref.contains(p)
-    replay = PermGroup(degree)
-    assert_normalisers_generate(fast, [g for g in gens if replay._adjoin(g.images)])
+    replay, record = PermGroup(degree), {}
+    assert_normalisers_generate(fast, [g for g in gens if replay._adjoin(g.images, record)])
     for subgroup in (frattini_of_2group, derived_subgroup):
         N, M = subgroup(fast), subgroup(ref)
         assert type(M) is AllExtensionsGroup
@@ -713,16 +714,20 @@ def counted_work(monkeypatch, build):
 
 # _extend and inv_perm calls of the chain builds below.  An involution's
 # square is the identity, so it is its own inverse and nothing is extended
-# by its square; these generating sets are involutions.
+# by its square; these generating sets are involutions.  The _extend counts
+# include the calls that return at once for an element the build has
+# already placed, so the record of placed elements leaves them unchanged.
 CHAIN_EXTENDS_AND_INVERSIONS = {
     ("S", 32): (86, 20), ("A", 32): (91, 20), ("A", 128): (492, 105),
 }
 
 
-@pytest.mark.parametrize("kind, n, bound", [("S", 32, 700), ("A", 32, 700), ("A", 128, 6000)])
+@pytest.mark.parametrize("kind, n, bound", [("S", 32, 477), ("A", 32, 511), ("A", 128, 3595)])
 def test_chain_build_work(monkeypatch, kind, n, bound):
     # AllExtensionsGroup takes 1878, 1684 and 33,823 products here, and
     # PermGroup, conjugating by a generating set of H, 548, 582 and 4606
+    # when it sifted an element again each time it was offered; sifting
+    # each element once per build, it takes the bounds
     gens = composite.build_gens(kind, n)
     G, calls = counted_work(monkeypatch, lambda: PermGroup(n, gens))
     assert G.order == 1 << composite.order_log2_syl2(kind, n)
@@ -734,26 +739,30 @@ def test_chain_build_work(monkeypatch, kind, n, bound):
 
 def test_diagonal_chain_work(monkeypatch):
     # most elements of the depth-4 diagonal groups are involutions, which
-    # are neither squared nor inverted
+    # are neither squared nor inverted; sifting an element again each time
+    # it was offered took 96,088 products, and once per build takes 87,244
     cases = random.Random(4).sample(_diagonal_sets("B", 4) + _diagonal_sets("G", 4), 512)
     groups, calls = counted_work(monkeypatch, lambda: [PermGroup(16, gens) for gens in cases])
     assert {G.order for G in groups} == {1 << 14, 1 << 15}
-    assert calls["mult_perm"] <= 96088
+    assert calls["mult_perm"] <= 87244
     assert calls["_extend"] <= 18166
     assert calls["inv_perm"] <= 4581
 
 
 # mult_perm, _extend and inv_perm calls of Phi(G) and of G' for the Sylow
 # 2-subgroup's generators, keeping N normal in G at every step, one
-# commutator per generator of G, and forming no identity square or
-# commutator.  These generators are involutions, so both closures close the
-# same nontrivial seeds at the same cost.  The conjugate queue
-# (queue_normal_closure) took the products in the tests' parameters.
+# commutator per generator of G, forming no identity square or commutator,
+# and sifting each element once per closure.  These generators are
+# involutions, so both closures close the same nontrivial seeds at the same
+# cost.  The conjugate queue (queue_normal_closure) took the products in the
+# tests' parameters.  Sifting an element again each time it was offered
+# took 762, 795, 9962 and 9836 products; the _extend counts include the
+# calls that return at once for an element already placed.
 CLOSURE_WORK = {
-    ("A", 32): (762, 67, 21),
-    ("S", 32): (795, 65, 22),
-    ("A", 128): (9962, 438, 113),
-    ("S", 128): (9836, 420, 114),
+    ("A", 32): (570, 67, 21),
+    ("S", 32): (559, 65, 22),
+    ("A", 128): (4430, 438, 113),
+    ("S", 128): (4088, 420, 114),
 }
 
 
@@ -822,9 +831,10 @@ def queue_normal_closure(G, seeds):
     N = type(G)(G.degree)
     gen_pairs = [(g.images, inv_perm(g.images)) for g in G.generators]
     queue = [s.images for s in seeds]
+    record = {}
     while queue:
         raw = queue.pop()
-        if N._adjoin(raw):
+        if N._adjoin(raw, record):
             N.generators.append(Permutation(raw))
             queue.extend(mult_perm(h, mult_perm(raw, h_inv)) for h, h_inv in gen_pairs)
     return N
@@ -877,9 +887,9 @@ def recorded_extensions(monkeypatch, build):
     calls = []
     real = PermGroup._extend
 
-    def recording(self, raw, depth, path, ambient):
+    def recording(self, raw, depth, record, ambient):
         calls.append((raw, ambient))
-        return real(self, raw, depth, path, ambient)
+        return real(self, raw, depth, record, ambient)
 
     with monkeypatch.context() as patch:
         patch.setattr(PermGroup, "_extend", recording)
@@ -951,18 +961,21 @@ class ClosureBuiltGroup(ClosureGroup):
     closures grow by PermGroup's index-2 steps with its generators as the
     ambient set."""
 
-    def _adjoin(self, raw, ambient=()):
+    def _adjoin(self, raw, record, ambient=()):
         if ambient:
-            return PermGroup._adjoin(self, raw, ambient)
-        return super()._adjoin(raw)
+            return PermGroup._adjoin(self, raw, record, ambient)
+        return super()._adjoin(raw, record)
 
 
-@pytest.mark.parametrize("texts, degree, seed", [
+NON_2GROUP_CASES = [
     (S4_GENS, 4, "(1,2,3)"),  # A4
     (S4_GENS, 4, "(1,2)"),  # S4, from an involution
     (["(1,2,3)"], 3, "(1,2,3)"),  # C3
     (["(1,2,3,4,5,6,7,8)", "(1,2)"], 8, "(1,2)"),  # S8, from an involution
-])
+]
+
+
+@pytest.mark.parametrize("texts, degree, seed", NON_2GROUP_CASES)
 def test_non_2groups_still_raise(texts, degree, seed):
     # an involution skips its square, and a commuting pair its commutator;
     # the index-2 steps must still refuse a group that is not a 2-group,
@@ -984,9 +997,11 @@ def test_normal_closure_refuses_seeds_outside_G():
         normal_closure(A4, [parse_cycles("(1,2)", 4)])
 
 
-def test_random_sets_rejected_exactly_when_not_2groups():
+def random_generator_sets():
+    """300 seeded (degree, gens): one to three random permutations of
+    degree 3 to 7, most of which generate no 2-group."""
     rng = random.Random(300)
-    accepted = 0
+    sets = []
     for _ in range(300):
         degree = rng.randrange(3, 8)
         gens = []
@@ -994,6 +1009,13 @@ def test_random_sets_rejected_exactly_when_not_2groups():
             images = list(range(degree))
             rng.shuffle(images)
             gens.append(Permutation(tuple(images)))
+        sets.append((degree, gens))
+    return sets
+
+
+def test_random_sets_rejected_exactly_when_not_2groups():
+    accepted = 0
+    for degree, gens in random_generator_sets():
         order = len(bruteforce_closure(gens))
         if order & (order - 1):
             with pytest.raises(ValueError, match="not a 2-group"):
@@ -1044,6 +1066,124 @@ def test_large_degree_fallback():
     finally:
         sys.setrecursionlimit(limit)
     assert "recursion limit" in str(info.value)
+
+
+# -- one construction sifts each element once ---------------------------------
+
+class ForgetfulRecord(dict):
+    """The record of placed elements forced empty: it keeps _extend's
+    extension counts for the 2-group checks but drops every finished mark,
+    so an element offered again is sifted again."""
+
+    def __setitem__(self, raw, mark):
+        if mark != permgroup._FINISHED:
+            super().__setitem__(raw, mark)
+
+
+def without_record(monkeypatch, build):
+    """What build() returns when every _adjoin call gets a fresh
+    ForgetfulRecord instead of its construction's record."""
+    real = PermGroup._adjoin
+
+    def forgetting(self, raw, record, ambient=()):
+        return real(self, raw, ForgetfulRecord(), ambient)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(PermGroup, "_adjoin", forgetting)
+        return build()
+
+
+def chain_state(G):
+    """Everything a chain holds, transversals in insertion order."""
+    return (
+        G.base(), [list(t.items()) for t in G._transversals], G._extensions,
+        G._normalisers, [g.images for g in G.generators],
+    )
+
+
+def chain_state_or_refusal(build):
+    """The chain state of the group build() returns, or the text of the
+    ValueError it raised."""
+    try:
+        return chain_state(build())
+    except ValueError as error:
+        return str(error)
+
+
+def chain_and_closure_states(gens, degree):
+    G = PermGroup(degree, gens)
+    return [chain_state(H) for H in (G, frattini_of_2group(G), derived_subgroup(G))]
+
+
+@pytest.mark.slow
+def test_record_of_placed_elements_saves_work_only(monkeypatch):
+    # the chain, Phi and P' built with the record and with it forced empty
+    # hold the same bases, transversals, extensions, normalisers and
+    # generators
+    cases = [(composite.build_gens(kind, n), n) for kind in "AS" for n in range(1, 65)]
+    diagonal = [gens for kind in "BG" for k in (2, 3) for gens in _diagonal_sets(kind, k)]
+    diagonal += random.Random(8).sample(_diagonal_sets("B", 4) + _diagonal_sets("G", 4), 128)
+    diagonal += [
+        gens for n in RANDOM_2GROUP_DEGREES
+        for gens in random_2group_sets(n, random_perms(n, seed=n))
+    ]
+    cases += [(gens, gens[0].degree) for gens in diagonal]
+    cases += [(perms(texts, degree), degree) for texts, degree in HIGHER_ORDER_2GROUPS.values()]
+    assert len(cases) == 128 + 27 + 128 + 40 + 5
+    for gens, degree in cases:
+        kept = chain_and_closure_states(gens, degree)
+        assert without_record(monkeypatch, lambda: chain_and_closure_states(gens, degree)) == kept
+
+
+def test_non_2groups_raise_the_same_messages_without_the_record(monkeypatch):
+    # the record changes neither which 2-group check refuses a group nor
+    # its message, for a chain build and for a normal closure
+    builds = []
+    for texts, degree, seed in NON_2GROUP_CASES:
+        gens = perms(texts, degree)
+        G = ClosureBuiltGroup(degree, gens)
+        builds.append(lambda gens=gens, degree=degree: PermGroup(degree, gens))
+        builds.append(lambda G=G, seed=parse_cycles(seed, degree): normal_closure(G, [seed]))
+    large = sys.getrecursionlimit() + 1
+    builds.append(lambda: PermGroup(large, perms(["(1,2)", "(2,3)"], large)))
+    builds += [
+        lambda degree=degree, gens=gens: PermGroup(degree, gens)
+        for degree, gens in random_generator_sets()
+    ]
+    outcomes = [chain_state_or_refusal(build) for build in builds]
+    for build, kept in zip(builds, outcomes):
+        assert without_record(monkeypatch, lambda: chain_state_or_refusal(build)) == kept
+    messages = collections.Counter(o for o in outcomes if isinstance(o, str))
+    # both checks fire: the depth bound refuses the two S4 chains, S8
+    # and 7 of the 231 random sets that are refused, and recurrence the
+    # other chains and every closure
+    assert messages == {
+        "not a 2-group: an element recurred while extending": 1 + 1 + 224 + 4,
+        "not a 2-group: index-2 nesting deeper than the degree": 3 + 7,
+    }
+
+
+CHAIN_ATTRIBUTES = {
+    "degree", "generators", "_identity", "_bases", "_extensions", "_normalisers",
+    "_transversals",
+}
+
+
+def test_construction_leaves_nothing_behind():
+    # the record lives only while a chain or closure is built, and queries
+    # change no attribute
+    G = PermGroup(8, composite.build_gens("A", 8))
+    seeds = [G.generators[0] * G.generators[-1]]
+    groups = [G, normal_closure(G, seeds), frattini_of_2group(G), derived_subgroup(G)]
+    groups.append(group_from_generators(perms(HIGHER_ORDER_2GROUPS["Q8"][0], 8)))
+    probes = random_perms(8, seed=8)
+    for H in groups:
+        assert set(vars(H)) == CHAIN_ATTRIBUTES
+        before = copy.deepcopy(vars(H))
+        assert len(H.elements(64)) == H.order
+        assert all(H.contains(g) for g in H.generators)
+        assert sum(H.contains(p) for p in probes) < len(probes)
+        assert vars(H) == before
 
 
 @pytest.mark.parametrize("m", range(1, 11))
