@@ -27,11 +27,8 @@ to extend by, a commutator with a generator the element commutes with is
 not finished, and the Frattini and derived subgroups are seeded with the
 nontrivial squares and commutators of G's generators only.  Nor does one
 construction (a chain build or a normal closure) sift an element again once
-it is known to be a member: an element whose sift gave the identity, or
-whose extension has finished, is a member, and the group only grows while
-it is built, so the element is recorded and returns at once when offered
-again.  The record is dropped when the construction returns.  Generators
-of a group that is not a 2-group raise ``ValueError``.  Oracle claims stay
+it is known to be a member (see ``PermGroup._extend``).  Generators of a
+group that is not a 2-group raise ``ValueError``.  Oracle claims stay
 at degree <= ``verify.ORACLE_LIMIT`` (``verify.plan_claims``).  No step is
 randomized, so every order or membership answer is exact, not Monte Carlo.
 """
@@ -183,10 +180,9 @@ class PermGroup:
     only through ``_adjoin``: the constructor adjoins each generator, and
     ``normal_closure`` adjoins each seed the same way, with G's generators
     as the ambient set, before it returns the group.  Either passes one
-    record to all its ``_adjoin`` calls, so that no element known to be a
-    member is sifted again, and keeps it only until it returns.  ``order`` and ``contains``
-    are exact.  Instances are immutable once returned and safe to query
-    concurrently.
+    record of known members to all its ``_adjoin`` calls (see ``_extend``).
+    ``order`` and ``contains`` are exact.  Instances are immutable once
+    returned and safe to query concurrently.
     """
 
     def __init__(self, degree: int, generators=()):
@@ -220,13 +216,10 @@ class PermGroup:
         index-2 steps grew the group, which generate it together with the
         group before (none when raw was a member).
 
-        ``record`` is ``_extend``'s record of one construction: a dict that
-        starts empty and is passed to every ``_adjoin`` of that construction
-        and then dropped, so an element known to be a member is not sifted
-        again, however many of its calls offer it (see ``_extend``).  ``ambient`` holds pairs
-        (g, g^-1) for the generators of a 2-group G that contains raw and
-        in which the group is normal; the group then stays normal in G at
-        every step (see ``_extend``).
+        ``record`` is one construction's record of known members (see
+        ``_extend``).  ``ambient`` holds pairs (g, g^-1) for the generators
+        of a 2-group G that contains raw and in which the group is normal;
+        the group then stays normal in G at every step (see ``_extend``).
         """
         start = len(self._normalisers)
         try:
@@ -284,13 +277,15 @@ class PermGroup:
           whose extension has started to the number of extension elements
           at its latest start, a count that grows exactly when H does.
 
-        ``record`` lasts one construction (see ``_adjoin``) and also marks
-        ``_FINISHED`` every element whose extension has finished or whose
-        sift gave the identity.  Such an element is a member, and H only
-        grows, so it stays one: offered again, it returns at once, before
-        the sift, which would only have returned the identity and changed
-        nothing.  So no construction sifts a member it has recorded, and
-        only elements on the nesting path can recur.
+        ``record`` lasts one construction: a chain build or a normal
+        closure passes one dict, empty at first, to all its ``_adjoin``
+        calls and drops it when it returns.  It also marks ``_FINISHED``
+        every element whose extension has finished or whose sift gave the
+        identity.  Such an element is a member, and H only grows while it is
+        built, so it stays one: offered again, however many calls offer it,
+        it returns at once, before the sift, which would only have returned
+        the identity and changed nothing.  So no construction sifts a member
+        it has recorded, and only elements on the nesting path can recur.
         """
         mark = record.get(raw)
         if mark == _FINISHED:

@@ -30,8 +30,6 @@ from dataclasses import dataclass
 from sylow2.kernels import compose_labels, invert_labels, leaf_images
 from sylow2.permgroup import Permutation
 
-DEFAULT_SEED = 1729  # seed of every sampled check unless one is given
-
 
 @dataclass(frozen=True)
 class Vertex:

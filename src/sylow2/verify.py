@@ -49,7 +49,6 @@ from typing import Callable
 
 from sylow2 import composite, derived, permgroup, wreath
 from sylow2.portrait import (
-    DEFAULT_SEED,
     Vertex,
     compose,
     distance,
@@ -64,6 +63,7 @@ from sylow2.portrait import (
     random_portrait_counts,
 )
 
+DEFAULT_SEED = 1729  # seed of every sampled check unless one is given
 ORACLE_LIMIT = 128  # no oracle work above this many points
 ENUMERATION_LIMIT = 4096  # no claim lists the elements of a larger group
 

@@ -4,8 +4,11 @@ The oracle functions here deliberately avoid the package's kernel code
 paths.  Leaf actions are rebuilt by recursion on subtrees, group closures
 by plain breadth-first multiplication (``bruteforce_closure``, shared with
 the self test), so an error in the iterative kernels cannot hide behind
-itself.
+itself.  ``recorded`` is the one way a test counts or inspects the calls of
+a package function.
 """
+
+import contextlib
 
 from hypothesis import settings, strategies as st
 
@@ -15,6 +18,32 @@ from sylow2.verify import bruteforce_closure  # noqa: F401
 
 settings.register_profile("suite", max_examples=60, derandomize=True)
 settings.load_profile("suite")
+
+# the published generating set of Syl_2 A_14
+A14_GENS = [
+    "(11,12)(13,14)",
+    "(9,11)(10,12)",
+    "(7,8)(9,10)",
+    "(1,5)(2,6)(3,7)(4,8)",
+    "(1,3)(2,4)",
+]
+
+
+@contextlib.contextmanager
+def recorded(monkeypatch, owner, name):
+    """Within the block, owner.name passes each call through unchanged and
+    appends the call's positional arguments to the list it yields; a method
+    records self first.  The attribute is restored on exit."""
+    real = getattr(owner, name)
+    calls = []
+
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(owner, name, recording)
+        yield calls
 
 
 def portrait_from_mask(k: int, mask: int) -> Portrait:

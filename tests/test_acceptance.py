@@ -13,19 +13,13 @@ import math
 import time
 from collections import Counter
 
+from conftest import A14_GENS
 from sylow2 import derived, verify, wreath
 from sylow2.composite import build_gens_A, build_gens_S, iso_4k2, order_syl2_A
 from sylow2.permgroup import PermGroup, parse_cycles, rank_of_2group
 from sylow2.portrait import Portrait, compose, inverse
 from sylow2.wreath import all_portraits
 
-A14_GENS = [
-    "(11,12)(13,14)",
-    "(9,11)(10,12)",
-    "(7,8)(9,10)",
-    "(1,5)(2,6)(3,7)(4,8)",
-    "(1,3)(2,4)",
-]
 A28_GENS = [
     "(25,27)(26,28)",
     "(23,24)(25,26)",

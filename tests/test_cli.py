@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import sylow2
+from conftest import recorded
 from sylow2 import cli, derived, verify, wreath
 from sylow2.cli import build_parser, main
 from sylow2.permgroup import format_cycles
@@ -357,16 +358,10 @@ def test_verify_without_json_builds_no_report(capsys, monkeypatch):
 def test_verify_report_reuses_the_runs_generating_set(capsys, monkeypatch, tmp_path):
     # the claims and the report summary share one workspace, so the
     # generating set is built once
-    calls = []
-    build_gens = verify.composite.build_gens
-
-    def counted(kind, n):
-        calls.append((kind, n))
-        return build_gens(kind, n)
-
-    monkeypatch.setattr(verify.composite, "build_gens", counted)
     report = tmp_path / "a27.json"
-    code, _, err = run(capsys, "verify", "A", "27", "--level", "full", "--json", str(report))
+    with recorded(monkeypatch, verify.composite, "build_gens") as calls:
+        code, _, err = run(capsys, "verify", "A", "27", "--level", "full",
+                           "--json", str(report))
     assert (code, err) == (0, "")
     assert calls == [("A", 27)]
     assert json.loads(report.read_text())["summary"]["fixed_points"] == [27]

@@ -5,7 +5,7 @@ from itertools import permutations
 
 import pytest
 
-from conftest import random_portrait
+from conftest import random_portrait, recorded
 from sylow2 import composite, portrait, verify
 from sylow2.composite import (
     SubdirectElement,
@@ -25,7 +25,6 @@ from sylow2.composite import (
     two_part_of_factorial,
     verification_record,
 )
-from sylow2.kernels import leaf_images
 from sylow2.permgroup import (
     PermGroup,
     Permutation,
@@ -191,16 +190,9 @@ def test_embed_expands_only_moved_subtrees(monkeypatch, kind, n, leaves):
     # a generator moves the leaves below one vertex per part it labels; the
     # whole blocks would take 40,962 (S 4095) and 49,152 (A 4096) leaves
     tuples = composite.build_tuples(kind, n)
-    expanded = 0
-
-    def counted(k, labels):
-        nonlocal expanded
-        expanded += 1 << k
-        return leaf_images(k, labels)
-
-    monkeypatch.setattr(portrait, "leaf_images", counted)
-    [embed(t) for t in tuples]
-    assert expanded == leaves
+    with recorded(monkeypatch, portrait, "leaf_images") as calls:
+        [embed(t) for t in tuples]
+    assert sum(1 << k for k, _ in calls) == leaves
 
 
 @pytest.mark.parametrize("kind, expanded", [("S", 66), ("A", 120)])
@@ -208,16 +200,10 @@ def test_embed_expands_only_moved_blocks(monkeypatch, kind, expanded):
     # 4095 has eleven tree blocks and a 1-point one; expanding every tree
     # block of every generator would take 726 (S) or 715 (A) calls
     tuples = composite.build_tuples(kind, 4095)
-    calls = []
-
-    def counted(part):
-        calls.append(part)
-        return leaf_permutation(part)
-
-    monkeypatch.setattr(composite, "leaf_permutation", counted)
-    [embed(t) for t in tuples]
+    with recorded(monkeypatch, composite, "leaf_permutation") as calls:
+        [embed(t) for t in tuples]
     assert len(calls) == expanded
-    assert not any(part.is_identity() for part in calls)
+    assert not any(part.is_identity() for (part,) in calls)
 
 
 def test_kind_dispatch_matches_the_A_and_S_functions(monkeypatch):

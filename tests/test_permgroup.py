@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import bruteforce_closure
+from conftest import A14_GENS, bruteforce_closure, recorded
 from sylow2 import cli, composite, derived, permgroup, verify, wreath
 from sylow2.composite import build_gens_A, build_gens_S, order_syl2_S
 from sylow2.kernels import inv_perm, mult_perm
@@ -33,13 +33,6 @@ def perms(texts, degree):
     return [parse_cycles(t, degree) for t in texts]
 
 
-A14_PUBLISHED_GENS = [
-    "(11,12)(13,14)",
-    "(9,11)(10,12)",
-    "(7,8)(9,10)",
-    "(1,5)(2,6)(3,7)(4,8)",
-    "(1,3)(2,4)",
-]
 S4_GENS = ["(1,2,3,4)", "(1,2)"]
 
 
@@ -294,7 +287,7 @@ def test_order_klein_four():
 
 
 def test_order_a14_published_generators():
-    G = group_from_generators(perms(A14_PUBLISHED_GENS, 14))
+    G = group_from_generators(perms(A14_GENS, 14))
     assert G.order == 2**10
 
 
@@ -310,7 +303,7 @@ def test_group_from_generators_is_the_one_list_to_group_builder():
     with pytest.raises(ValueError) as via_leaves:
         wreath.leaf_group([])
     assert str(direct.value) == str(via_leaves.value) == "no generators"
-    for gens in (perms(A14_PUBLISHED_GENS, 14), perms(["(1,2,3,4)", "(1,3)"], 4),
+    for gens in (perms(A14_GENS, 14), perms(["(1,2,3,4)", "(1,3)"], 4),
                  build_gens_A(12), [leaf_permutation(g) for g in gen_set_G(4)]):
         assert group_from_generators(gens).order == PermGroup(gens[0].degree, gens).order
 
@@ -369,7 +362,7 @@ def test_construction_degree_mismatch():
 
 def test_every_generator_is_a_member():
     S4 = closure_only(4, perms(S4_GENS, 4))
-    for G in (S4, group_from_generators(perms(A14_PUBLISHED_GENS, 14))):
+    for G in (S4, group_from_generators(perms(A14_GENS, 14))):
         assert all(G.contains(g) for g in G.generators)
 
 
@@ -434,7 +427,7 @@ def test_frattini_of_tree_group():
 
 def test_rank_examples():
     assert rank_of_2group(group_from_generators(perms(["(1,2)", "(3,4)"], 4))) == 2
-    assert rank_of_2group(group_from_generators(perms(A14_PUBLISHED_GENS, 14))) == 5
+    assert rank_of_2group(group_from_generators(perms(A14_GENS, 14))) == 5
     assert rank_of_2group(PermGroup(3)) == 0
 
 
@@ -693,103 +686,78 @@ def test_diagonal_and_random_chains_match_all_extensions():
         assert_matches_all_extensions(gens, degree, randoms[degree])
 
 
-def counted_work(monkeypatch, build):
-    """What build() returns, and its calls of mult_perm, inv_perm and
-    PermGroup._extend, by name."""
-    calls = collections.Counter()
-
-    def counting(name, real):
-        def wrapper(*args):
-            calls[name] += 1
-            return real(*args)
-        return wrapper
-
-    with monkeypatch.context() as patch:
-        for owner, name in ((permgroup, "mult_perm"), (permgroup, "inv_perm"),
-                            (PermGroup, "_extend")):
-            patch.setattr(owner, name, counting(name, getattr(owner, name)))
-        result = build()
-    return result, calls
+def test_recorder_passes_calls_through_and_restores(monkeypatch):
+    real = PermGroup._extend
+    with pytest.raises(ZeroDivisionError):
+        with recorded(monkeypatch, PermGroup, "_extend") as calls:
+            G = PermGroup(4, perms(["(1,2)(3,4)"], 4))
+            1 / 0
+    assert PermGroup._extend is real
+    # a method records self first; the call went through unchanged
+    assert [args[:3] for args in calls] == [(G, (1, 0, 3, 2), 0)]
+    assert G.order == 2
 
 
-# _extend and inv_perm calls of the chain builds below.  An involution's
+# The oracle's work bounds: the most mult_perm, PermGroup._extend and
+# inv_perm calls of each construction, keyed by construction, kind and n.
+# A chain is PermGroup(n, build_gens(kind, n)); ("chain", "diagonal", 512)
+# builds the chains of 512 sampled depth-4 diagonal sets of kinds B and G.
+# AllExtensionsGroup takes 1878, 1684 and 33,823 products for the chains of
+# S_32, A_32 and A_128.  A closure is Phi(G) or G' for G the chain of the
+# Sylow 2-subgroup, and its last value is the products the conjugate queue
+# (queue_normal_closure) took, which the bound stays below.  An involution's
 # square is the identity, so it is its own inverse and nothing is extended
-# by its square; these generating sets are involutions.  The _extend counts
-# include the calls that return at once for an element the build has
-# already placed, so the record of placed elements leaves them unchanged.
-CHAIN_EXTENDS_AND_INVERSIONS = {
-    ("S", 32): (86, 20), ("A", 32): (91, 20), ("A", 128): (492, 105),
+# by its square; these generating sets are involutions, and most elements of
+# the diagonal groups are.  Both closures therefore close the same
+# nontrivial seeds at the same cost, keeping N normal in G at every step
+# with one commutator per generator of G.  The _extend counts include the
+# calls that return at once for an element the construction has already
+# placed.
+WORK_BOUNDS = {
+    ("chain", "S", 32): (477, 86, 20, None),
+    ("chain", "A", 32): (511, 91, 20, None),
+    ("chain", "A", 128): (3595, 492, 105, None),
+    ("chain", "diagonal", 512): (87244, 18166, 4581, None),
+    ("frattini", "A", 32): (570, 67, 21, 1291),
+    ("frattini", "S", 32): (559, 65, 22, 1412),
+    ("frattini", "A", 128): (4430, 438, 113, 19517),
+    ("frattini", "S", 128): (4088, 420, 114, 19964),
+    ("derived", "A", 32): (570, 67, 21, 1286),
+    ("derived", "S", 32): (559, 65, 22, 1407),
+    ("derived", "A", 128): (4430, 438, 113, 19510),
+    ("derived", "S", 128): (4088, 420, 114, 19957),
 }
 
 
-@pytest.mark.parametrize("kind, n, bound", [("S", 32, 477), ("A", 32, 511), ("A", 128, 3595)])
-def test_chain_build_work(monkeypatch, kind, n, bound):
-    # AllExtensionsGroup takes 1878, 1684 and 33,823 products here, and
-    # PermGroup, conjugating by a generating set of H, 548, 582 and 4606
-    # when it sifted an element again each time it was offered; sifting
-    # each element once per build, it takes the bounds
+def work_case(construction, kind, n):
+    """A call that makes the construction and returns its order (the set of
+    orders for the diagonal sample), and what it must return."""
+    if kind == "diagonal":
+        cases = random.Random(4).sample(_diagonal_sets("B", 4) + _diagonal_sets("G", 4), n)
+        return lambda: {PermGroup(16, gens).order for gens in cases}, {1 << 14, 1 << 15}
     gens = composite.build_gens(kind, n)
-    G, calls = counted_work(monkeypatch, lambda: PermGroup(n, gens))
-    assert G.order == 1 << composite.order_log2_syl2(kind, n)
-    extends, inversions = CHAIN_EXTENDS_AND_INVERSIONS[kind, n]
-    assert calls["mult_perm"] <= bound
-    assert calls["_extend"] <= extends
-    assert calls["inv_perm"] <= inversions
-
-
-def test_diagonal_chain_work(monkeypatch):
-    # most elements of the depth-4 diagonal groups are involutions, which
-    # are neither squared nor inverted; sifting an element again each time
-    # it was offered took 96,088 products, and once per build takes 87,244
-    cases = random.Random(4).sample(_diagonal_sets("B", 4) + _diagonal_sets("G", 4), 512)
-    groups, calls = counted_work(monkeypatch, lambda: [PermGroup(16, gens) for gens in cases])
-    assert {G.order for G in groups} == {1 << 14, 1 << 15}
-    assert calls["mult_perm"] <= 87244
-    assert calls["_extend"] <= 18166
-    assert calls["inv_perm"] <= 4581
-
-
-# mult_perm, _extend and inv_perm calls of Phi(G) and of G' for the Sylow
-# 2-subgroup's generators, keeping N normal in G at every step, one
-# commutator per generator of G, forming no identity square or commutator,
-# and sifting each element once per closure.  These generators are
-# involutions, so both closures close the same nontrivial seeds at the same
-# cost.  The conjugate queue (queue_normal_closure) took the products in the
-# tests' parameters.  Sifting an element again each time it was offered
-# took 762, 795, 9962 and 9836 products; the _extend counts include the
-# calls that return at once for an element already placed.
-CLOSURE_WORK = {
-    ("A", 32): (570, 67, 21),
-    ("S", 32): (559, 65, 22),
-    ("A", 128): (4430, 438, 113),
-    ("S", 128): (4088, 420, 114),
-}
-
-
-def assert_closure_work(monkeypatch, closure, kind, n, queue_products):
-    G = PermGroup(n, composite.build_gens(kind, n))
-    N, calls = counted_work(monkeypatch, lambda: closure(G))
+    if construction == "chain":
+        return lambda: PermGroup(n, gens).order, 1 << composite.order_log2_syl2(kind, n)
+    G = PermGroup(n, gens)
+    closure = frattini_of_2group if construction == "frattini" else derived_subgroup
     # these Sylow 2-subgroups have an elementary abelian abelianisation, so
     # P' is Phi(P)
-    assert N.order == G.order >> composite.rank_syl2(kind, n)
-    products, extends, inversions = CLOSURE_WORK[kind, n]
-    assert calls["mult_perm"] <= products < queue_products
-    assert calls["_extend"] <= extends
-    assert calls["inv_perm"] <= inversions
+    return lambda: closure(G).order, G.order >> composite.rank_syl2(kind, n)
 
 
-@pytest.mark.parametrize("kind, n, queue_products", [
-    ("A", 32, 1291), ("S", 32, 1412), ("A", 128, 19517), ("S", 128, 19964),
-])
-def test_frattini_closure_work(monkeypatch, kind, n, queue_products):
-    assert_closure_work(monkeypatch, frattini_of_2group, kind, n, queue_products)
-
-
-@pytest.mark.parametrize("kind, n, queue_products", [
-    ("A", 32, 1286), ("S", 32, 1407), ("A", 128, 19510), ("S", 128, 19957),
-])
-def test_derived_closure_work(monkeypatch, kind, n, queue_products):
-    assert_closure_work(monkeypatch, derived_subgroup, kind, n, queue_products)
+@pytest.mark.parametrize("construction, kind, n", WORK_BOUNDS,
+                         ids=["-".join(map(str, key)) for key in WORK_BOUNDS])
+def test_construction_work(monkeypatch, construction, kind, n):
+    build, expected = work_case(construction, kind, n)
+    with (recorded(monkeypatch, permgroup, "mult_perm") as products,
+          recorded(monkeypatch, PermGroup, "_extend") as extends,
+          recorded(monkeypatch, permgroup, "inv_perm") as inversions):
+        assert build() == expected
+    bound, extend_bound, inversion_bound, queue_products = WORK_BOUNDS[construction, kind, n]
+    assert len(products) <= bound
+    assert queue_products is None or bound < queue_products
+    assert len(extends) <= extend_bound
+    assert len(inversions) <= inversion_bound
 
 
 @pytest.mark.parametrize("closure, squares, built", [
@@ -801,16 +769,8 @@ def test_closure_builds_one_permutation_per_seed_and_generator(
     # once; the rest are the generators of the closure.  The generators of
     # A_32's Sylow 2-subgroup are involutions, so their squares are no seeds.
     G = PermGroup(32, composite.build_gens("A", 32))
-    made = 0
-    real = Permutation.__post_init__
-
-    def counting(self):
-        nonlocal made
-        made += 1
-        real(self)
-
-    monkeypatch.setattr(Permutation, "__post_init__", counting)
-    N = closure(G)
+    with recorded(monkeypatch, Permutation, "__post_init__") as made:
+        N = closure(G)
     gens = [g.images for g in G.generators]
     identity = tuple(range(32))
     seeds = [mult_perm(a, a) for a in gens] if squares else []
@@ -819,7 +779,7 @@ def test_closure_builds_one_permutation_per_seed_and_generator(
         for a, b in itertools.combinations(gens, 2)
     ]
     nontrivial = sum(seed != identity for seed in seeds)
-    assert made == nontrivial + len(N.generators) == built
+    assert len(made) == nontrivial + len(N.generators) == built
 
 
 # -- normal closures against the conjugate queue ------------------------------
@@ -881,39 +841,24 @@ HIGHER_ORDER_2GROUPS = {
 }
 
 
-def recorded_extensions(monkeypatch, build):
-    """What build() returns, and (raw, ambient) of every PermGroup._extend
-    call it made, in order."""
-    calls = []
-    real = PermGroup._extend
-
-    def recording(self, raw, depth, record, ambient):
-        calls.append((raw, ambient))
-        return real(self, raw, depth, record, ambient)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(PermGroup, "_extend", recording)
-        result = build()
-    return result, calls
-
-
 def squared_non_involutions(calls):
-    """The calls whose raw is no involution and which extended by its
-    square, the call right after them."""
+    """The recorded PermGroup._extend calls whose raw is no involution and
+    which extended by its square, the call right after them."""
     return [
         raw
-        for (raw, _), (after, _) in zip(calls, calls[1:])
+        for (_, raw, *_), (_, after, *_) in zip(calls, calls[1:])
         if mult_perm(raw, raw) == after != tuple(range(len(raw)))
     ]
 
 
 def extended_commutators(calls):
     """The nontrivial commutators [raw, g] with an ambient generator g that
-    a normal closure extended by."""
-    raws = {raw for raw, _ in calls}
+    a normal closure extended by, from its recorded PermGroup._extend
+    calls."""
+    raws = {raw for _, raw, *_ in calls}
     return [
         commutator
-        for raw, ambient in calls
+        for _, raw, _, _, ambient in calls
         for g, g_inv in ambient
         if (commutator := mult_perm(raw, mult_perm(g, mult_perm(inv_perm(raw), g_inv))))
         != tuple(range(len(raw))) and commutator in raws
@@ -936,11 +881,13 @@ def test_higher_order_steps_run_and_match_the_references(monkeypatch):
     cases.update(enumerate(randoms))
     squared, commutators = {}, {}
     for name, (gens, degree) in cases.items():
-        G, calls = recorded_extensions(monkeypatch, lambda: PermGroup(degree, gens))
+        with recorded(monkeypatch, PermGroup, "_extend") as calls:
+            G = PermGroup(degree, gens)
         squared[name] = len(squared_non_involutions(calls))
         commutators[name] = 0
         for closure in (frattini_of_2group, derived_subgroup):
-            _, calls = recorded_extensions(monkeypatch, lambda: closure(G))
+            with recorded(monkeypatch, PermGroup, "_extend") as calls:
+                closure(G)
             squared[name] += len(squared_non_involutions(calls))
             commutators[name] += len(extended_commutators(calls))
         probes = random_perms(degree, seed=degree)

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import recorded
 from sylow2 import cli, composite, derived, permgroup, verify, wreath
 from sylow2.portrait import (
     Portrait,
@@ -74,58 +75,27 @@ def test_error_texts(call, message):
     assert str(info.value) == message
 
 
-@pytest.fixture
-def build_counts(monkeypatch):
-    """Count nonempty chain builds by degree, the Frattini and derived
-    closures made through the oracle, and the generating sets of kinds A and
-    S built, while the test runs."""
-    counts = Counter()
-    init = verify.permgroup.PermGroup.__init__
-    closure = verify.permgroup.normal_closure
-
-    def counting_init(self, degree, generators=()):
-        generators = list(generators)
-        counts["chain", degree] += bool(generators)
-        init(self, degree, generators)
-
-    def counting_closure(G, seeds):
-        counts["closure"] += 1
-        return closure(G, seeds)
-
-    monkeypatch.setattr(verify.permgroup.PermGroup, "__init__", counting_init)
-    monkeypatch.setattr(verify.permgroup, "normal_closure", counting_closure)
-    for name in ("frattini_of_2group", "derived_subgroup"):
-        original = getattr(verify.permgroup, name)
-
-        def counting(G, _name=name, _original=original):
-            counts[_name] += 1
-            return _original(G)
-
-        monkeypatch.setattr(verify.permgroup, name, counting)
-    build_gens = verify.composite.build_gens
-
-    def counting_gens(kind, n):
-        counts["gens"] += 1
-        return build_gens(kind, n)
-
-    monkeypatch.setattr(verify.composite, "build_gens", counting_gens)
-    return counts
-
-
 @pytest.mark.parametrize("kind,target,degree,derived", [
     ("A", 28, 28, 0),
     ("A", 27, 27, 0),  # the group, all-even and fixed-point share the gens
     ("G", 5, 32, 1),
 ])
-def test_run_builds_each_chain_and_subgroup_once(build_counts, kind, target,
+def test_run_builds_each_chain_and_subgroup_once(monkeypatch, kind, target,
                                                   degree, derived):
-    records = verify.run_verification(kind, target, "full")
+    with (recorded(monkeypatch, permgroup.PermGroup, "__init__") as chains,
+          recorded(monkeypatch, permgroup, "normal_closure") as closures,
+          recorded(monkeypatch, permgroup, "frattini_of_2group") as frattinis,
+          recorded(monkeypatch, permgroup, "derived_subgroup") as deriveds,
+          recorded(monkeypatch, composite, "build_gens") as gens):
+        records = verify.run_verification(kind, target, "full")
     assert all(r.passed for r in records)
-    assert build_counts["chain", degree] == 1
-    assert build_counts["frattini_of_2group"] == 1
-    assert build_counts["derived_subgroup"] == derived
-    assert build_counts["closure"] == 1 + derived
-    assert build_counts["gens"] == (kind in "AS")
+    # the nonempty chain builds by degree: PermGroup(degree) is trivial
+    built = [d for _, d, *generators in chains if generators and generators[0]]
+    assert built.count(degree) == 1
+    assert len(frattinis) == 1
+    assert len(deriveds) == derived
+    assert len(closures) == 1 + derived
+    assert len(gens) == (kind in "AS")
     for record in records:
         assert verify.recompute(asdict(record)) == record.computed
 
@@ -270,33 +240,18 @@ def test_sign_law_claim_counts_each_draw_of_a_failing_portrait(monkeypatch):
 
 @pytest.mark.parametrize("k, distinct", [(2, 8), (3, 128)])
 def test_sign_law_claim_builds_one_leaf_permutation_per_portrait(monkeypatch, k, distinct):
-    judged = []
-    real = verify.leaf_permutation
-
-    def counted(g):
-        judged.append(g)
-        return real(g)
-
-    monkeypatch.setattr(verify, "leaf_permutation", counted)
     params = {"kind": "B", "k": k, "seed": 1729, "samples": 2000}
-    assert verify.run_claim("tree/sign-law-violations", params).computed == 0
+    with recorded(monkeypatch, verify, "leaf_permutation") as judged:
+        assert verify.run_claim("tree/sign-law-violations", params).computed == 0
     assert 0 < len(judged) <= distinct
 
 
 @pytest.mark.parametrize("k, distinct", [(2, 8), (3, 128)])
 def test_sign_law_claim_builds_one_portrait_per_distinct_draw(monkeypatch, k, distinct):
-    built = 0
-    real = Portrait.__post_init__
-
-    def counting(self):
-        nonlocal built
-        built += 1
-        real(self)
-
-    monkeypatch.setattr(Portrait, "__post_init__", counting)
     params = {"kind": "B", "k": k, "seed": 1729, "samples": 2000}
-    assert verify.run_claim("tree/sign-law-violations", params).computed == 0
-    assert 0 < built <= distinct
+    with recorded(monkeypatch, Portrait, "__post_init__") as built:
+        assert verify.run_claim("tree/sign-law-violations", params).computed == 0
+    assert 0 < len(built) <= distinct
 
 
 FIXTURES = sorted((Path(__file__).parent / "data").glob("verify_*.json"))
