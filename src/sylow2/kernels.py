@@ -23,7 +23,14 @@ the images of the vertices one level at a time from the labels above them.
 ``compose_labels`` and ``invert_labels`` read its levels ``0..k-1`` to
 move labels to or from image positions, and ``leaf_images`` returns its
 level ``k``.
+
+``mult_perm`` is one ``operator.itemgetter`` gather, so its loop over the
+points runs in C; degrees 0 and 1 take a plain tuple instead, because an
+``itemgetter`` of one index returns the bare item and one of no index
+cannot be made.
 """
+
+from operator import itemgetter
 
 
 def _level_images(k, labels):
@@ -77,7 +84,14 @@ def leaf_images(k, g):
 
 
 def mult_perm(p, q):
-    """Left-action product: (p.q)(x) = p(q(x))."""
+    """Left-action product: (p.q)(x) = p(q(x)).
+
+    The gather loops in C; with one index it would return the bare item,
+    not a 1-tuple, and with none it raises ``TypeError``, so degrees 0 and
+    1 build the tuple directly.
+    """
+    if len(q) > 1:
+        return itemgetter(*q)(p)
     return tuple(map(p.__getitem__, q))
 
 

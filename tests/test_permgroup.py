@@ -227,6 +227,36 @@ def test_multiply_is_left_action():
         assert (p * q).images[x] == p.images[q.images[x]]
 
 
+def reference_product(p, q):
+    """mult_perm's former formula, a tuple built point by point."""
+    return tuple(map(p.__getitem__, q))
+
+
+def test_mult_perm_matches_the_pointwise_product():
+    # the kernel's gather returns a bare item for one index and cannot be
+    # made for none, so degrees 0 and 1 are checked with the rest
+    for degree in range(5):
+        every = list(itertools.permutations(range(degree)))
+        for p, q in itertools.product(every, repeat=2):
+            assert mult_perm(p, q) == reference_product(p, q), (p, q)
+    rng = random.Random(35)
+    for degree in [*range(5, 65), 1024, 4096]:
+        p, q = list(range(degree)), list(range(degree))
+        rng.shuffle(p)
+        rng.shuffle(q)
+        p, q = tuple(p), tuple(q)
+        assert mult_perm(p, q) == reference_product(p, q), degree
+
+
+def test_degree_0_and_1_products_and_groups():
+    for degree in (0, 1):
+        e = Permutation.identity(degree)
+        assert (e * e).images == tuple(range(degree))
+    G = PermGroup(1, [Permutation.identity(1)])
+    assert G.order == 1
+    assert G.elements(1) == [Permutation.identity(1)]
+
+
 def test_multiply_degree_mismatch():
     with pytest.raises(ValueError):
         parse_cycles("(1,2)", 2) * parse_cycles("(1,2)", 3)
