@@ -1,23 +1,21 @@
-"""Shared test helpers: independent oracles and hypothesis strategies.
+"""Shared test helpers: independent oracles and seeded portrait cases.
 
 The oracle functions here deliberately avoid the package's kernel code
 paths.  Leaf actions are rebuilt by recursion on subtrees, group closures
 by plain breadth-first multiplication (``bruteforce_closure``, shared with
 the self test), so an error in the iterative kernels cannot hide behind
 itself.  ``recorded`` is the one way a test counts or inspects the calls of
-a package function.
+a package function.  ``portrait_cases`` draws the cases of the portrait
+laws from the library's own sampler with a seeded ``random.Random``.
 """
 
 import contextlib
-
-from hypothesis import settings, strategies as st
+import itertools
+import random
 
 from sylow2.permgroup import Permutation
-from sylow2.portrait import Portrait, random_portrait  # noqa: F401
+from sylow2.portrait import Portrait, random_portrait
 from sylow2.verify import bruteforce_closure  # noqa: F401
-
-settings.register_profile("suite", max_examples=60, derandomize=True)
-settings.load_profile("suite")
 
 # the published generating set of Syl_2 A_14
 A14_GENS = [
@@ -51,12 +49,19 @@ def portrait_from_mask(k: int, mask: int) -> Portrait:
     return Portrait(k, bytes((mask >> i) & 1 for i in range(size)))
 
 
-def portraits(k: int):
-    """Hypothesis strategy for depth-k portraits."""
-    size = (1 << k) - 1
-    return st.integers(min_value=0, max_value=(1 << size) - 1).map(
-        lambda m: portrait_from_mask(k, m)
-    )
+def portrait_cases(seed, depths, arity=1):
+    """Cases for a law of portraits, as tuples of ``arity`` portraits of one
+    depth: for each depth every tuple of the identity and the all-ones
+    portrait, then 60 tuples of uniform draws from ``random_portrait``
+    with ``random.Random(seed)``, the depth cycling through ``depths``."""
+    rng = random.Random(seed)
+    for k in depths:
+        yield from itertools.product(
+            [portrait_from_mask(k, 0), portrait_from_mask(k, -1)], repeat=arity
+        )
+    for i in range(60):
+        k = depths[i % len(depths)]
+        yield tuple(random_portrait(rng, k) for _ in range(arity))
 
 
 def oracle_leaf_images(levels):

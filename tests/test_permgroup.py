@@ -1179,18 +1179,29 @@ def test_sylow_generators_accepted_in_either_order(n):
         assert PermGroup(n, gens).order == order_syl2_S(n)
 
 
+def _imported_modules(path):
+    """The module each import statement of the file at ``path`` names, a
+    relative one with its leading dots."""
+    for node in ast.walk(ast.parse(Path(path).read_text())):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield "." * node.level + (node.module or "")
+
+
 def test_oracle_imports_only_stdlib_and_kernels():
     # the oracle stays independent of the portrait code it checks
-    for node in ast.walk(ast.parse(Path(permgroup.__file__).read_text())):
-        if isinstance(node, ast.Import):
-            names = [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom):
-            names = ["." * node.level + (node.module or "")]
-        else:
-            continue
-        for name in names:
-            top = name.split(".")[0]
-            assert name == "sylow2.kernels" or top in sys.stdlib_module_names, name
+    for name in _imported_modules(permgroup.__file__):
+        top = name.split(".")[0]
+        assert name == "sylow2.kernels" or top in sys.stdlib_module_names, name
+
+
+def test_suite_imports_only_stdlib_pytest_and_sylow2():
+    # the suite needs pytest alone, so no test dependency creeps back
+    allowed = sys.stdlib_module_names | {"pytest", "sylow2", "conftest"}
+    for path in sorted(Path(__file__).parent.rglob("*.py")):
+        for name in _imported_modules(path):
+            assert name.split(".")[0] in allowed, (path.name, name)
 
 
 CHAIN_INTERNALS = {

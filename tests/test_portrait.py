@@ -3,13 +3,12 @@ from collections import Counter
 from itertools import combinations
 
 import pytest
-from hypothesis import given, strategies as st
 
 import sylow2
 from conftest import (
     oracle_leaf_permutation,
+    portrait_cases,
     portrait_from_mask,
-    portraits,
     random_portrait,
 )
 from sylow2.portrait import (
@@ -134,9 +133,9 @@ def test_codec_matches_per_label_reference():
         assert back.depth == g.depth and back.bits == g.bits
 
 
-@given(st.integers(1, 6).flatmap(lambda k: portraits(k)))
-def test_parse_format_roundtrip(g):
-    assert parse_portrait(format_portrait(g)) == g
+def test_parse_format_roundtrip():
+    for (g,) in portrait_cases(61, range(1, 7)):
+        assert parse_portrait(format_portrait(g)) == g
 
 
 def test_labels_validated():
@@ -226,22 +225,15 @@ def test_inverse_examples():
     assert inverse(target) == parse_portrait("1/01")
 
 
-@given(st.integers(2, 8).flatmap(lambda k: st.tuples(portraits(k), portraits(k))))
-def test_inverse_law(pair):
-    g, _ = pair
-    k = g.depth
-    assert compose(g, inverse(g)) == identity(k)
-    assert compose(inverse(g), g) == identity(k)
+def test_inverse_law():
+    for (g,) in portrait_cases(62, range(2, 9)):
+        assert compose(g, inverse(g)) == identity(g.depth)
+        assert compose(inverse(g), g) == identity(g.depth)
 
 
-@given(
-    st.integers(2, 8).flatmap(
-        lambda k: st.tuples(portraits(k), portraits(k), portraits(k))
-    )
-)
-def test_associativity(triple):
-    a, b, c = triple
-    assert compose(compose(a, b), c) == compose(a, compose(b, c))
+def test_associativity():
+    for a, b, c in portrait_cases(63, range(2, 9), arity=3):
+        assert compose(compose(a, b), c) == compose(a, compose(b, c))
 
 
 # -- leaf action -------------------------------------------------------------
@@ -301,10 +293,9 @@ def test_leaf_homomorphism_exhaustive_k2():
             ) * leaf_permutation(h)
 
 
-@given(st.integers(2, 8).flatmap(lambda k: st.tuples(portraits(k), portraits(k))))
-def test_leaf_homomorphism_random(pair):
-    g, h = pair
-    assert leaf_permutation(compose(g, h)) == leaf_permutation(g) * leaf_permutation(h)
+def test_leaf_homomorphism_random():
+    for g, h in portrait_cases(64, range(2, 9), arity=2):
+        assert leaf_permutation(compose(g, h)) == leaf_permutation(g) * leaf_permutation(h)
 
 
 def test_sign_law_exhaustive_small():
@@ -314,10 +305,10 @@ def test_sign_law_exhaustive_small():
             assert leaf_permutation(g).sign() == expected
 
 
-@given(portraits(8))
-def test_sign_law_random_k8(g):
-    expected = -1 if level_index(g, 7) % 2 else 1
-    assert leaf_permutation(g).sign() == expected
+def test_sign_law_random_k8():
+    for (g,) in portrait_cases(65, [8]):
+        expected = -1 if level_index(g, 7) % 2 else 1
+        assert leaf_permutation(g).sign() == expected
 
 
 def test_single_label_cycle_type_exhaustive():
