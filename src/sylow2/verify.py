@@ -27,7 +27,10 @@ dict that ``run_verification`` is given or creates once (``run_selftest``
 creates one for all its claims).  A generating
 set, its group, the group's Frattini subgroup and its derived subgroup are
 built by the first claim of the run that needs them and reused by the
-rest, so the claims of one run build each of them once.
+rest, so the claims of one run build each of them once, with one
+exception: the workspace keys groups by kind, so a full A run at
+n = 2**k builds G_k's chain, Frattini subgroup and derived subgroup a
+second time for its tree claims, although the Sylow subgroup is G_k.
 ``report_to_json`` takes the workspace too, so the report summary reuses
 the run's generating set, and ``sylow2 verify`` builds the summary only
 when ``--json`` asks for a report.  Nothing outlives the run:
@@ -609,7 +612,7 @@ def _check_order_vs_closure(params, run):
         group = permgroup.PermGroup(4, gens)
         if group.order != len(bruteforce_closure(gens, 512)):
             return False
-    b3 = wreath.leaf_group(wreath.gen_set_B(3))
+    b3 = _group({"kind": "B", "k": 3}, run)
     return b3.order == len(bruteforce_closure(
         [leaf_permutation(g) for g in wreath.gen_set_B(3)], 512))
 

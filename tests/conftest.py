@@ -4,9 +4,12 @@ The oracle functions here deliberately avoid the package's kernel code
 paths.  Leaf actions are rebuilt by recursion on subtrees, group closures
 by plain breadth-first multiplication (``bruteforce_closure``, shared with
 the self test), so an error in the iterative kernels cannot hide behind
-itself.  ``recorded`` is the one way a test counts or inspects the calls of
-a package function.  ``portrait_cases`` draws the cases of the portrait
-laws from the library's own sampler with a seeded ``random.Random``.
+itself.  ``claim`` is the one way a test runs a claim of ``verify.CLAIMS``:
+a test that restates a claim runs it from the table and asserts the value
+it states.  ``recorded`` is the one way a test counts or inspects the
+calls of a package function.  ``portrait_cases`` draws the cases of the
+portrait laws from the library's own sampler with a seeded
+``random.Random``.
 """
 
 import contextlib
@@ -15,7 +18,7 @@ import random
 
 from sylow2.permgroup import Permutation
 from sylow2.portrait import Portrait, random_portrait
-from sylow2.verify import bruteforce_closure  # noqa: F401
+from sylow2.verify import bruteforce_closure, run_claim  # noqa: F401
 
 # the published generating set of Syl_2 A_14
 A14_GENS = [
@@ -25,6 +28,13 @@ A14_GENS = [
     "(1,5)(2,6)(3,7)(4,8)",
     "(1,3)(2,4)",
 ]
+
+
+def claim(claim_id, **params):
+    """Run one claim from the table, require a pass, return the computed value."""
+    record = run_claim(claim_id, params)
+    assert record.passed, record
+    return record.computed
 
 
 @contextlib.contextmanager

@@ -4,17 +4,18 @@ Each test prints one pass/fail line (visible with ``pytest -s``) and
 enforces the stated exactness and runtime budget.  Budgets are wall-clock
 upper bounds; the suite is far below them.
 
-Criteria that restate a claim run it from the claim table (``claim``) and
-then check the computed value against the number the criterion states, so
-an error on the table's expected side cannot pass here either.
+Criteria that restate a claim run it from the claim table
+(``conftest.claim``) and then check the computed value against the number
+the criterion states, so an error on the table's expected side cannot pass
+here either.
 """
 
 import math
 import time
 from collections import Counter
 
-from conftest import A14_GENS
-from sylow2 import derived, verify, wreath
+from conftest import A14_GENS, claim
+from sylow2 import derived, wreath
 from sylow2.composite import build_gens_A, build_gens_S, iso_4k2, order_syl2_A
 from sylow2.permgroup import PermGroup, parse_cycles, rank_of_2group
 from sylow2.portrait import Portrait, compose, inverse
@@ -55,13 +56,6 @@ def report(number, text):
     print(f"[PASS] criterion {number:2d}: {text}")
 
 
-def claim(claim_id, **params):
-    """Run one claim from the table, require a pass, return the computed value."""
-    record = verify.run_claim(claim_id, params)
-    assert record.passed, record
-    return record.computed
-
-
 def test_criterion_01_orders_of_G_k():
     with budget(5) as b:
         for k, expected in ((2, 4), (3, 64), (4, 16384)):
@@ -75,9 +69,8 @@ def test_criterion_02_a14_reproduction():
         published = PermGroup(14, [parse_cycles(t, 14) for t in A14_GENS])
         assert published.order == 2**10
         assert rank_of_2group(published) == 5
-        built = PermGroup(14, build_gens_A(14))
-        assert built.order == 2**10
-        assert rank_of_2group(built) == 5
+        assert claim("composite/order-log2", kind="A", n=14) == 10
+        assert claim("composite/rank", kind="A", n=14) == 5
     report(2, f"degree-14 published generators and our construction both "
               f"give order 2^10, rank 5 ({b.elapsed:.2f}s)")
 
@@ -87,9 +80,8 @@ def test_criterion_03_a28_reproduction():
         published = PermGroup(28, [parse_cycles(t, 28) for t in A28_GENS])
         assert published.order == 2**24
         assert rank_of_2group(published) == 8
-        built = PermGroup(28, build_gens_A(28))
-        assert built.order == 2**24
-        assert rank_of_2group(built) == 8
+        assert claim("composite/order-log2", kind="A", n=28) == 24
+        assert claim("composite/rank", kind="A", n=28) == 8
     report(3, f"degree-28 published generators and our construction both "
               f"give order 2^24, rank 8 ({b.elapsed:.2f}s)")
 

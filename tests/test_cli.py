@@ -368,9 +368,10 @@ def test_verify_report_reuses_the_runs_generating_set(capsys, monkeypatch, tmp_p
 
 
 def test_report_roundtrip(capsys, tmp_path):
-    # re-running the claims recorded in a report reproduces computed values
+    # re-running the claims recorded in a report reproduces computed values;
+    # a full A run at n = 2**k also writes tree claims with kind G params
     report = tmp_path / "r.json"
-    for kind, target in (("A", 12), ("G", 3)):
+    for kind, target in (("A", 12), ("G", 3), ("A", 16)):
         code, _, _ = run(
             capsys, "verify", kind, str(target), "--level", "full",
             "--json", str(report),

