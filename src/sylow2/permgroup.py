@@ -35,17 +35,27 @@ randomized, so every order or membership answer is exact, not Monte Carlo.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from sylow2.kernels import inv_perm, mult_perm
 
 
-@dataclass(frozen=True)
 class Permutation:
-    """A bijection of 0..n-1, stored as the tuple of images."""
+    """A bijection of 0..n-1, stored as the tuple of images.
 
-    images: tuple[int, ...]
+    An immutable value, a plain ``__slots__`` class because it is built on
+    every product (so ``dataclasses.fields``, ``asdict`` and ``replace`` do
+    not apply): equality and hash are those of the field tuple
+    ``(images,)``, and ``copy``, ``deepcopy`` and ``pickle`` rebuild
+    through the constructor, so they validate again.
+    """
+
+    __slots__ = ("images",)
+    __match_args__ = ("images",)
+
+    def __init__(self, images: tuple[int, ...]):
+        _set_images(self, images)
+        self.__post_init__()
 
     def __post_init__(self):
         images = self.images
@@ -53,6 +63,23 @@ class Permutation:
             raise ValueError(f"images must be a tuple, got {type(images).__name__}")
         if sorted(images) != list(range(len(images))):
             raise ValueError("images are not a bijection of 0..n-1")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.images == other.images
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.images,))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: a Permutation is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: a Permutation is immutable")
+
+    def __reduce__(self):
+        return (self.__class__, (self.images,))
 
     @classmethod
     def identity(cls, degree: int) -> Permutation:
@@ -112,6 +139,10 @@ class Permutation:
         if sorted(self.images) != list(range(self.degree)):
             return f"Permutation(images={self.images!r})"
         return f"Permutation({format_cycles(self)!r}, degree={self.degree})"
+
+
+# the slot descriptor stores the field past the __setattr__ that refuses it
+_set_images = Permutation.images.__set__
 
 
 def parse_cycles(text: str, degree: int) -> Permutation:

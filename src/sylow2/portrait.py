@@ -13,8 +13,8 @@ level's (j+1)-th vertex counted left to right.
 The labels are stored in heap order (level l starts at index 2**l - 1).
 That layout is private to this module and ``sylow2.kernels``: everyone
 else builds a label pattern with ``from_vertices``, the inverse of
-``Portrait.active_vertices``, and reads labels through ``level_bits``
-and ``level_index``.
+``Portrait.active_vertices``, and reads labels through ``level_bits``,
+``level_index`` and ``labels_above``.
 
 Leaves are numbered 1 + sum(b_i * 2**(k-i)) from the path bits b_1..b_k, so
 the leftmost leaf is 1 and a root label alone swaps the front and back
@@ -48,18 +48,30 @@ class Vertex:
             )
 
 
-@dataclass(frozen=True)
 class Portrait:
     """Label table of a depth-k tree automorphism.
 
     ``bits`` holds the 2**k - 1 labels in heap order (level l occupies
     indices 2**l - 1 .. 2**(l+1) - 2).
+
+    An immutable value, a plain ``__slots__`` class because it is built on
+    every product (so ``dataclasses.fields``, ``asdict`` and ``replace`` do
+    not apply): equality and hash are those of the field tuple
+    ``(depth, bits)``, and ``copy``, ``deepcopy`` and ``pickle`` rebuild
+    through the constructor, so they validate again.
     """
 
-    depth: int
-    bits: bytes
+    __slots__ = ("depth", "bits")
+    __match_args__ = ("depth", "bits")
+
+    def __init__(self, depth: int, bits: bytes):
+        _set_depth(self, depth)
+        _set_bits(self, bits)
+        self.__post_init__()
 
     def __post_init__(self):
+        if type(self.depth) is not int:
+            raise ValueError(f"depth must be an int, got {type(self.depth).__name__}")
         if self.depth < 1:
             raise ValueError("depth must be >= 1 (the depth-0 tree is empty)")
         if not isinstance(self.bits, bytes):
@@ -71,6 +83,23 @@ class Portrait:
             )
         if self.bits.translate(None, b"\0\1"):  # any byte other than 0 and 1
             raise ValueError("labels must be 0 or 1")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.depth, self.bits) == (other.depth, other.bits)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.depth, self.bits))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: a Portrait is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: a Portrait is immutable")
+
+    def __reduce__(self):
+        return (self.__class__, (self.depth, self.bits))
 
     def level_bits(self, l: int) -> tuple[int, ...]:
         if not 0 <= l < self.depth:
@@ -96,6 +125,11 @@ class Portrait:
 
     def __repr__(self) -> str:
         return f"Portrait({format_portrait(self)!r})"
+
+
+# the slot descriptors store a field past the __setattr__ that refuses it
+_set_depth = Portrait.depth.__set__
+_set_bits = Portrait.bits.__set__
 
 
 def identity(k: int) -> Portrait:
@@ -192,6 +226,17 @@ def level_index(g: Portrait, l: int) -> int:
         raise ValueError(f"level {l} outside 0..{g.depth - 1}")
     start = (1 << l) - 1
     return g.bits.count(1, start, start + (1 << l))
+
+
+def labels_above(g: Portrait, l: int) -> int:
+    """Number of active labels on levels 0..l-1, the levels above level l:
+    0 at l = 0 and every active label at l = g.depth.  Levels 0..l-1 are
+    the first 2**l - 1 labels of the table, so this is one count."""
+    if type(l) is not int:
+        raise ValueError(f"level must be an int, got {type(l).__name__}")
+    if not 0 <= l <= g.depth:
+        raise ValueError(f"level {l} outside 0..{g.depth}")
+    return g.bits.count(1, 0, (1 << l) - 1)
 
 
 def section(g: Portrait, v: Vertex) -> Portrait:

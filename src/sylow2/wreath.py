@@ -29,6 +29,7 @@ from sylow2.portrait import (
     from_vertices,
     identity,
     inverse,
+    labels_above,
     leaf_permutation,
     level_index,
     section,
@@ -107,17 +108,14 @@ def in_G_recursive(g: Portrait) -> bool:
 
 
 def _upper_empty(g: Portrait) -> bool:
-    for l in range(g.depth - 1):
-        if level_index(g, l):
-            return False
-    return True
+    return not labels_above(g, g.depth - 1)
 
 
 def in_W(g: Portrait) -> bool:
     """Labels only on the last level, an even number of them."""
     if g.depth < 2:
         raise ValueError("W needs depth >= 2")
-    return in_G(g) and _upper_empty(g)
+    return _upper_empty(g) and in_G(g)
 
 
 def bottom_halves(g: Portrait) -> tuple[int, int]:

@@ -4,6 +4,7 @@ import collections
 import copy
 import inspect
 import itertools
+import pickle
 import random
 import sys
 from pathlib import Path
@@ -289,6 +290,48 @@ def test_permutation_validated():
     for images in ((1, 2), (0, 0)):  # a point outside 0..n-1, a repeated image
         with pytest.raises(ValueError, match="not a bijection"):
             Permutation(images)
+
+
+def test_permutation_equality_and_hash_are_those_of_the_images():
+    p, same = parse_cycles("(1,2,3)", 4), Permutation((1, 2, 0, 3))
+    assert p == same and p is not same and hash(p) == hash(same)
+    assert hash(p) == hash((p.images,))
+    assert p != parse_cycles("(1,3,2)", 4) and p != parse_cycles("(1,2,3)", 5)
+    assert p != (p.images,) and (p.images,) != p and p != p.images
+    assert collections.Counter([p, Permutation.identity(4), same]) == {
+        p: 2, Permutation.identity(4): 1,
+    }
+    match p:
+        case Permutation(images):
+            assert images == (1, 2, 0, 3)
+
+
+def test_permutation_fields_are_read_only_and_slotted():
+    p = parse_cycles("(1,2)", 3)
+    for name in ("images", "other"):
+        with pytest.raises(AttributeError):
+            setattr(p, name, (0, 1, 2))
+    with pytest.raises(AttributeError):
+        del p.images
+    assert p == parse_cycles("(1,2)", 3)
+    assert not hasattr(p, "__dict__")
+
+
+def test_permutation_construction_validates_once(monkeypatch):
+    with recorded(monkeypatch, Permutation, "__post_init__") as calls:
+        p = Permutation((1, 0, 2))
+    assert len(calls) == 1 and calls[0][0] is p
+
+
+@pytest.mark.parametrize("clone", [
+    copy.copy, copy.deepcopy, lambda p: pickle.loads(pickle.dumps(p)),
+], ids=["copy", "deepcopy", "pickle"])
+def test_permutation_copies_are_equal_and_validated_again(monkeypatch, clone):
+    p = parse_cycles("(1,3)(2,4)", 5)
+    with recorded(monkeypatch, Permutation, "__post_init__") as calls:
+        back = clone(p)
+    assert back == p and type(back) is Permutation
+    assert len(calls) == 1 and calls[0][0] is back
 
 
 @pytest.mark.parametrize("call, message", [

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from collections import Counter
 from itertools import combinations
@@ -10,6 +12,7 @@ from conftest import (
     oracle_leaf_permutation,
     portrait_cases,
     random_portrait,
+    recorded,
 )
 from sylow2.portrait import (
     Portrait,
@@ -20,6 +23,7 @@ from sylow2.portrait import (
     from_vertices,
     identity,
     inverse,
+    labels_above,
     leaf_permutation,
     level_index,
     moved_subtree,
@@ -43,6 +47,11 @@ def test_identity_is_all_zero():
     (lambda: Vertex(-1, 1), "level must be >= 0"),
     (lambda: Portrait(0, b""), "depth must be >= 1 (the depth-0 tree is empty)"),
     (lambda: identity(2).level_bits(2), "level 2 outside 0..1"),
+    (lambda: Portrait(True, b"\0"), "depth must be an int, got bool"),
+    (lambda: Portrait(2.0, bytes(3)), "depth must be an int, got float"),
+    (lambda: labels_above(identity(2), 3), "level 3 outside 0..2"),
+    (lambda: labels_above(identity(2), -1), "level -1 outside 0..2"),
+    (lambda: labels_above(identity(2), True), "level must be an int, got bool"),
 ])
 def test_error_texts(call, message):
     with pytest.raises(ValueError) as info:
@@ -147,6 +156,50 @@ def test_labels_validated():
         Portrait(2, bytes([255, 0, 0]))
     with pytest.raises(ValueError):
         Portrait(2, [0, 1, 0])  # labels must be bytes
+
+
+# -- value semantics ---------------------------------------------------------
+
+def test_equality_and_hash_are_those_of_the_fields():
+    g, same = parse_portrait("1/01/0110"), Portrait(3, bytes([1, 0, 1, 0, 1, 1, 0]))
+    assert g == same and g is not same and hash(g) == hash(same)
+    assert hash(g) == hash((g.depth, g.bits))
+    assert g != parse_portrait("1/01/0111")
+    assert g != (g.depth, g.bits) and (g.depth, g.bits) != g
+    assert g != format_portrait(g) and g != g.bits
+    assert Counter([g, identity(3), same]) == {g: 2, identity(3): 1}
+    match g:
+        case Portrait(depth, bits):
+            assert (depth, bits) == (3, same.bits)
+
+
+def test_fields_are_read_only_and_slotted():
+    g = tau(3)
+    for name in ("depth", "bits", "other"):
+        with pytest.raises(AttributeError):
+            setattr(g, name, 2)
+    for name in ("depth", "bits"):
+        with pytest.raises(AttributeError):
+            delattr(g, name)
+    assert g == tau(3)
+    assert not hasattr(g, "__dict__")
+
+
+def test_construction_validates_once(monkeypatch):
+    with recorded(monkeypatch, Portrait, "__post_init__") as calls:
+        g = Portrait(2, bytes(3))
+    assert len(calls) == 1 and calls[0][0] is g
+
+
+@pytest.mark.parametrize("clone", [
+    copy.copy, copy.deepcopy, lambda g: pickle.loads(pickle.dumps(g)),
+], ids=["copy", "deepcopy", "pickle"])
+def test_copies_are_equal_and_validated_again(monkeypatch, clone):
+    g = parse_portrait("1/01/0110")
+    with recorded(monkeypatch, Portrait, "__post_init__") as calls:
+        back = clone(g)
+    assert back == g and type(back) is Portrait
+    assert len(calls) == 1 and calls[0][0] is back
 
 
 def test_random_portrait_sequence_is_pinned():
@@ -369,6 +422,19 @@ def test_level_index_examples():
     assert all(level_index(identity(3), l) == 0 for l in range(3))
     with pytest.raises(ValueError):
         level_index(identity(3), 3)
+
+
+def test_labels_above_sums_the_levels_above():
+    for (g,) in portrait_cases(67, range(1, 9)):
+        counts = [level_index(g, l) for l in range(g.depth)]
+        got = [labels_above(g, l) for l in range(g.depth + 1)]
+        assert got == [sum(counts[:l]) for l in range(g.depth + 1)]
+        assert got[0] == 0 and got[-1] == len(g.active_vertices())
+    # the first vertex of level l is not above level l
+    for k in range(1, 7):
+        for l in range(k):
+            assert labels_above(alpha(k, l), l) == 0
+            assert labels_above(alpha(k, l), l + 1) == 1
 
 
 def test_section_examples():

@@ -2,7 +2,8 @@ from itertools import combinations, product
 
 import pytest
 
-from conftest import claim, portrait_from_mask
+from conftest import claim, portrait_cases, portrait_from_mask
+from sylow2 import wreath
 from sylow2.permgroup import format_cycles
 from sylow2.portrait import (
     Portrait,
@@ -11,6 +12,7 @@ from sylow2.portrait import (
     identity,
     inverse,
     leaf_permutation,
+    level_index,
 )
 from sylow2.wreath import (
     GroupKind,
@@ -160,6 +162,20 @@ def test_in_W_matches_its_definition_on_every_small_portrait():
         for g in all_portraits(k):
             upper_empty = not any(any(g.level_bits(l)) for l in range(k - 1))
             assert in_W(g) == (upper_empty and sum(g.level_bits(k - 1)) % 2 == 0)
+
+
+def test_upper_level_predicates_match_level_index():
+    # every portrait of depth 2..4, seeded draws at depths 5..12, and at
+    # each of those depths tau (no upper label) and alpha(k, k - 2) (one
+    # label, on the last upper level)
+    cases = [g for k in (2, 3, 4) for g in all_portraits(k)]
+    cases += [g for (g,) in portrait_cases(47, range(5, 13))]
+    cases += [f(k) for k in range(5, 13) for f in (tau, lambda k: alpha(k, k - 2))]
+    for g in cases:
+        upper_empty = all(level_index(g, l) == 0 for l in range(g.depth - 1))
+        assert wreath._upper_empty(g) == upper_empty, g
+        assert in_W(g) == (upper_empty and in_G(g)), g
+        assert is_type_T(g) == (upper_empty and is_type_C(g)), g
 
 
 def test_w_is_elementary_abelian_and_normal():
