@@ -431,21 +431,23 @@ def group_from_generators(gens) -> PermGroup:
     return PermGroup(gens[0].degree, gens)
 
 
-def normal_closure(G: PermGroup, seeds) -> PermGroup:
+def normal_closure(G: PermGroup, seeds, *, _ambient=None) -> PermGroup:
     """Smallest subgroup containing the seeds and normalized by G.
 
     Every seed must lie in G; one that does not raises ``ValueError``.  The
     result N is grown by ``_adjoin`` with G's generators as the ambient set,
     so N is normal in G after every index-2 step and no conjugate of a seed
     needs adjoining.  ``N.generators`` lists the elements whose steps grew
-    N; they generate it.
+    N; they generate it.  The private ``_ambient`` takes the pairs
+    (g, g^-1) of G's generators from a caller that has made them for its
+    seeds already, so they are not made twice.
     """
     seeds = list(seeds)
     for s in seeds:
         if not G.contains(s):  # which checks the degree first
             raise ValueError("seed is not in G")
     N = type(G)(G.degree)
-    ambient = _inverse_pairs(G.generators)
+    ambient = _inverse_pairs(G.generators) if _ambient is None else _ambient
     record = {}  # one construction's record for _extend; dropped on return
     for s in seeds:
         N.generators += map(Permutation, N._adjoin(s.images, record, ambient))
@@ -478,7 +480,8 @@ def _commutators(pairs) -> list[Permutation]:
 
 def derived_subgroup(G: PermGroup) -> PermGroup:
     """Commutator subgroup [G, G]."""
-    return normal_closure(G, _commutators(_inverse_pairs(G.generators)))
+    pairs = _inverse_pairs(G.generators)
+    return normal_closure(G, _commutators(pairs), _ambient=pairs)
 
 
 def frattini_of_2group(G: PermGroup) -> PermGroup:
@@ -493,7 +496,7 @@ def frattini_of_2group(G: PermGroup) -> PermGroup:
     """
     pairs = _inverse_pairs(G.generators)
     squares = [Permutation(mult_perm(a, a)) for a, a_inv in pairs if a_inv != a]
-    return normal_closure(G, squares + _commutators(pairs))
+    return normal_closure(G, squares + _commutators(pairs), _ambient=pairs)
 
 
 def rank_of_2group(G: PermGroup) -> int:

@@ -791,14 +791,14 @@ WORK_BOUNDS = {
     ("chain", "A", 32): (511, 91, 20, None),
     ("chain", "A", 128): (3595, 492, 105, None),
     ("chain", "diagonal", 512): (87244, 18166, 4581, None),
-    ("frattini", "A", 32): (570, 67, 21, 1291),
-    ("frattini", "S", 32): (559, 65, 22, 1412),
-    ("frattini", "A", 128): (4430, 438, 113, 19517),
-    ("frattini", "S", 128): (4088, 420, 114, 19964),
-    ("derived", "A", 32): (570, 67, 21, 1286),
-    ("derived", "S", 32): (559, 65, 22, 1407),
-    ("derived", "A", 128): (4430, 438, 113, 19510),
-    ("derived", "S", 128): (4088, 420, 114, 19957),
+    ("frattini", "A", 32): (565, 67, 21, 1291),
+    ("frattini", "S", 32): (554, 65, 22, 1412),
+    ("frattini", "A", 128): (4423, 438, 113, 19517),
+    ("frattini", "S", 128): (4081, 420, 114, 19964),
+    ("derived", "A", 32): (565, 67, 21, 1286),
+    ("derived", "S", 32): (554, 65, 22, 1407),
+    ("derived", "A", 128): (4423, 438, 113, 19510),
+    ("derived", "S", 128): (4081, 420, 114, 19957),
 }
 
 

@@ -1,4 +1,5 @@
 import copy
+import itertools
 import pickle
 import random
 from collections import Counter
@@ -32,6 +33,7 @@ from sylow2.portrait import (
     section,
     vertex_image,
 )
+from sylow2.kernels import compose_labels, invert_labels, leaf_images
 from sylow2.permgroup import format_cycles
 from sylow2.wreath import alpha, all_portraits, tau
 
@@ -336,6 +338,82 @@ def test_leaf_permutation_matches_recursive_oracle():
             assert leaf_permutation(g) == pg
             assert leaf_permutation(compose(g, h)) == pg * ph
             assert leaf_permutation(inverse(g)) == pg.inverse()
+
+
+# -- label kernels against their two-pass formulas -----------------------------
+
+def reference_level_images(k, labels):
+    """The kernels' former walk: the image lists of levels 0..k, built
+    eagerly from a table that is read, never written."""
+    img = [0]
+    levels = [img]
+    i = 0  # heap index of the label being read
+    for l in range(k):
+        nxt = [0] * (2 << l)
+        j = 0
+        for p in img:
+            t = 2 * p + labels[i]
+            nxt[j] = t
+            nxt[j + 1] = t ^ 1
+            j += 2
+            i += 1
+        levels.append(nxt)
+        img = nxt
+    return levels
+
+
+def reference_compose_labels(k, g, h):
+    """compose_labels's former formula: after the walk, a per-vertex pass
+    that reads h's label and g's label at the vertex's image and XORs them."""
+    out = bytearray(len(h))
+    for img in reference_level_images(k - 1, h):
+        base = len(img) - 1
+        for i, p in enumerate(img, base):
+            out[i] = h[i] ^ g[base + p]
+    return bytes(out)
+
+
+def reference_invert_labels(k, g):
+    """invert_labels's former formula: g's label at v stored at g(v)."""
+    out = bytearray(len(g))
+    for img in reference_level_images(k - 1, g):
+        base = len(img) - 1
+        for i, p in enumerate(img, base):
+            out[base + p] = g[i]
+    return bytes(out)
+
+
+def reference_leaf_images(k, g):
+    """leaf_images's former formula: the last list of the eager walk."""
+    return tuple(reference_level_images(k, g)[k])
+
+
+def label_kernel_cases(arity):
+    """(k, table, ...) with ``arity`` label tables of depth k: every tuple at
+    depths 1..3, then the tuples of ``portrait_cases`` at depths 4..12."""
+    for k in range(1, 4):
+        tables = [g.bits for g in all_portraits(k)]
+        yield from ((k, *case) for case in itertools.product(tables, repeat=arity))
+    for case in portrait_cases(39, range(4, 13), arity):
+        yield (case[0].depth, *(g.bits for g in case))
+
+
+def test_label_kernels_match_the_two_pass_reference():
+    # the root's level has width 1, where an itemgetter gather would return
+    # a bare int; every depth goes through it
+    for k, g, h in label_kernel_cases(2):
+        assert compose_labels(k, g, h) == reference_compose_labels(k, g, h), (k, g, h)
+    for k, g in label_kernel_cases(1):
+        assert invert_labels(k, g) == reference_invert_labels(k, g), (k, g)
+        assert leaf_images(k, g) == reference_leaf_images(k, g), (k, g)
+
+
+def test_invert_labels_is_an_involution_and_an_inverse():
+    for k, g in label_kernel_cases(1):
+        g_inv = invert_labels(k, g)
+        assert type(g_inv) is bytes and invert_labels(k, g_inv) == g, (k, g)
+        assert compose_labels(k, g, g_inv) == bytes(len(g)), (k, g)
+        assert compose_labels(k, g_inv, g) == bytes(len(g)), (k, g)
 
 
 def test_leaf_homomorphism_exhaustive_k2():
