@@ -58,10 +58,17 @@ class SubdirectElement:
                 raise ValueError(f"block of size {1 << e} needs a depth-{e} portrait")
 
 
-def decompose(n: int) -> tuple[int, ...]:
-    """The exponents e of n as a sum of distinct 2**e, ascending."""
+def _check_n(n: int) -> None:
+    """Refuse an n that is not a positive int; a bool is no n."""
+    if type(n) is not int:
+        raise ValueError(f"n must be an int, got {type(n).__name__}")
     if n < 1:
         raise ValueError("n must be positive")
+
+
+def decompose(n: int) -> tuple[int, ...]:
+    """The exponents e of n as a sum of distinct 2**e, ascending."""
+    _check_n(n)
     return tuple(i for i in range(n.bit_length()) if n >> i & 1)
 
 
@@ -156,8 +163,7 @@ GENS_LIMIT = 1 << 20
 
 
 def _check_gens_n(n: int) -> None:
-    if n < 1:
-        raise ValueError("n must be positive")
+    _check_n(n)
     if n > GENS_LIMIT:
         raise ValueError(f"n must be at most {GENS_LIMIT} to build generators")
 
@@ -215,8 +221,7 @@ def order_log2_syl2(kind: str, n: int) -> int:
     """Exponent of the order, n - popcount(n), one less for A_n once
     n >= 2, without forming the power."""
     is_A = _by_kind(kind, True, False)
-    if n < 1:
-        raise ValueError("n must be positive")
+    _check_n(n)
     e = n - n.bit_count()
     return e - 1 if is_A and n >= 2 else e
 

@@ -15,9 +15,9 @@ a derived or Frattini subgroup of one), so ``PermGroup`` accepts 2-groups
 only and grows the chain one index-2 step at a time (Sims' method for
 solvable groups: C. C. Sims, "Computing the order of a solvable permutation
 group", J. Symb. Comput. 9, 1990), forming squares and conjugates but no
-Schreier generators.  ``normal_closure`` grows its result N by the same
-index-2 steps, keeping N normal in G at every one: an element of G is
-adjoined after its square and its commutator with each generator of G, so
+Schreier generators.  A normal closure (``_close``) grows its result N by
+the same index-2 steps, keeping N normal in G at every one: an element of G
+is adjoined after its square and its commutator with each generator of G, so
 each step costs one commutator per generator of G, the usual way p-group
 algorithms grow a normal subgroup down a central series (Holt, Eick and
 O'Brien, *Handbook of Computational Group Theory*, 2005).  Neither kind of
@@ -209,11 +209,11 @@ class PermGroup:
     Generators of a group that is not a 2-group raise ``ValueError``, from
     the constructor or from ``normal_closure``.  Elements enter the chain
     only through ``_adjoin``: the constructor adjoins each generator, and
-    ``normal_closure`` adjoins each seed the same way, with G's generators
-    as the ambient set, before it returns the group.  Either passes one
-    record of known members to all its ``_adjoin`` calls (see ``_extend``).
-    ``order`` and ``contains`` are exact.  Instances are immutable once
-    returned and safe to query concurrently.
+    ``_close`` adjoins each seed of a normal closure the same way, with G's
+    generators as the ambient set, before it returns the group.  Either
+    passes one record of known members to all its ``_adjoin`` calls (see
+    ``_extend``).  ``order`` and ``contains`` are exact.  Instances are
+    immutable once returned and safe to query concurrently.
     """
 
     def __init__(self, degree: int, generators=()):
@@ -431,26 +431,27 @@ def group_from_generators(gens) -> PermGroup:
     return PermGroup(gens[0].degree, gens)
 
 
-def normal_closure(G: PermGroup, seeds, *, _ambient=None) -> PermGroup:
-    """Smallest subgroup containing the seeds and normalized by G.
-
-    Every seed must lie in G; one that does not raises ``ValueError``.  The
-    result N is grown by ``_adjoin`` with G's generators as the ambient set,
-    so N is normal in G after every index-2 step and no conjugate of a seed
-    needs adjoining.  ``N.generators`` lists the elements whose steps grew
-    N; they generate it.  The private ``_ambient`` takes the pairs
-    (g, g^-1) of G's generators from a caller that has made them for its
-    seeds already, so they are not made twice.
-    """
+def normal_closure(G: PermGroup, seeds) -> PermGroup:
+    """Smallest subgroup containing the seeds and normalized by G, built by
+    ``_close``, which needs every seed in G: one that is not raises
+    ``ValueError``."""
     seeds = list(seeds)
     for s in seeds:
         if not G.contains(s):  # which checks the degree first
             raise ValueError("seed is not in G")
+    return _close(G, [s.images for s in seeds], _inverse_pairs(G.generators))
+
+
+def _close(G: PermGroup, seeds, pairs) -> PermGroup:
+    """The normal closure N in G of seeds, image tuples of elements of G,
+    grown by ``_adjoin`` with ``pairs``, the pairs (g, g^-1) of G's
+    generators, as the ambient set: N is normal in G after every index-2
+    step, so no conjugate of a seed needs adjoining.  ``N.generators`` lists
+    the elements whose steps grew N; they generate it."""
     N = type(G)(G.degree)
-    ambient = _inverse_pairs(G.generators) if _ambient is None else _ambient
     record = {}  # one construction's record for _extend; dropped on return
     for s in seeds:
-        N.generators += map(Permutation, N._adjoin(s.images, record, ambient))
+        N.generators += map(Permutation, N._adjoin(s, record, pairs))
     return N
 
 
@@ -464,24 +465,23 @@ def _inverse_pairs(gens) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     return pairs
 
 
-def _commutators(pairs) -> list[Permutation]:
+def _commutators(pairs) -> list[tuple[int, ...]]:
     """The nontrivial commutators [a, b] = a.b.a^-1.b^-1 of the pairs
-    (a, a^-1) before (b, b^-1): [a, a] = 1 and [b, a] = [a, b]^-1 add
-    nothing to a normal closure, and neither does a commuting pair, found
-    when a.b.a^-1 = b before the last product.  Each commutator is
-    multiplied out on image tuples and then wrapped in one ``Permutation``."""
+    (a, a^-1) before (b, b^-1), as image tuples: [a, a] = 1 and
+    [b, a] = [a, b]^-1 add nothing to a normal closure, and neither does a
+    commuting pair, found when a.b.a^-1 = b before the last product."""
     out = []
     for (a, a_inv), (b, b_inv) in combinations(pairs, 2):
         conjugate = mult_perm(a, mult_perm(b, a_inv))
         if conjugate != b:
-            out.append(Permutation(mult_perm(conjugate, b_inv)))
+            out.append(mult_perm(conjugate, b_inv))
     return out
 
 
 def derived_subgroup(G: PermGroup) -> PermGroup:
     """Commutator subgroup [G, G]."""
     pairs = _inverse_pairs(G.generators)
-    return normal_closure(G, _commutators(pairs), _ambient=pairs)
+    return _close(G, _commutators(pairs), pairs)
 
 
 def frattini_of_2group(G: PermGroup) -> PermGroup:
@@ -491,12 +491,11 @@ def frattini_of_2group(G: PermGroup) -> PermGroup:
     subgroup it is generated by the squares and pairwise commutators of any
     generating set, which is what gets closed here.  A generator squares to
     the identity exactly when it is its own inverse, and the identity adds
-    nothing, so only the other generators' squares are seeds; each, like
-    each commutator, is one ``Permutation`` built from its image tuple.
+    nothing, so only the other generators' squares are seeds.
     """
     pairs = _inverse_pairs(G.generators)
-    squares = [Permutation(mult_perm(a, a)) for a, a_inv in pairs if a_inv != a]
-    return normal_closure(G, squares + _commutators(pairs), _ambient=pairs)
+    squares = [mult_perm(a, a) for a, a_inv in pairs if a_inv != a]
+    return _close(G, squares + _commutators(pairs), pairs)
 
 
 def rank_of_2group(G: PermGroup) -> int:

@@ -39,6 +39,10 @@ class Vertex:
     position: int
 
     def __post_init__(self):
+        if type(self.level) is not int:
+            raise ValueError(f"level must be an int, got {type(self.level).__name__}")
+        if type(self.position) is not int:
+            raise ValueError(f"position must be an int, got {type(self.position).__name__}")
         if self.level < 0:
             raise ValueError("level must be >= 0")
         if not 1 <= self.position <= 1 << self.level:

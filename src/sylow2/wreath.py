@@ -78,6 +78,8 @@ def tau(k: int) -> Portrait:
 
 def gen_set_B(k: int) -> list[Portrait]:
     """One single-label generator per level; generates all of depth-k B."""
+    if k < 1:
+        raise ValueError("depth must be >= 1 (the depth-0 tree is empty)")
     return [alpha(k, l) for l in range(k)]
 
 

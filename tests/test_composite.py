@@ -223,6 +223,17 @@ def test_kind_dispatch_matches_the_A_and_S_functions(monkeypatch):
                 job(kind, 8)
         with pytest.raises(ValueError, match=f"^kind must be A or S, not {kind!r}$"):
             verification_record(8, kind, 6, 3, [])
+    # every job checks n the same way: an int that is not a bool, and positive
+    for n, message in ((4.0, "n must be an int, got float"),
+                       (True, "n must be an int, got bool"),
+                       (0, "n must be positive"), (-3, "n must be positive")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            decompose(n)
+        for kind in "AS":
+            for job in (composite.order_log2_syl2, composite.rank_syl2,
+                        composite.build_tuples, composite.build_gens):
+                with pytest.raises(ValueError, match=f"^{message}$"):
+                    job(kind, n)
     # the _S function is looked up when called, so a replacement is used
     monkeypatch.setattr(composite, "rank_syl2_S", lambda n: -1)
     assert composite.rank_syl2("S", 12) == -1

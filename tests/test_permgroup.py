@@ -40,7 +40,7 @@ S4_GENS = ["(1,2,3,4)", "(1,2)"]
 class ClosureGroup(PermGroup):
     """The reference: PermGroup's chain and queries, built by the
     deterministic Schreier-Sims closure, so any group is accepted.  Frattini,
-    derived and rank use it all the way down: normal_closure builds type(G).
+    derived and rank use it all the way down: _close builds type(G).
     With an ambient set, _adjoin also adjoins the conjugates by it of every
     element that grew the group, so normal closures are true ones in any
     group, not only in a 2-group."""
@@ -633,7 +633,7 @@ def test_diagonal_chains_match_closure_depth_2_3():
 
 
 def test_frattini_and_derived_match_bruteforce():
-    # independent of the seeds normal_closure is given: G' is closed from the
+    # independent of the seeds _close is given: G' is closed from the
     # commutators of all pairs of elements, and Phi(G) = G^2 for a 2-group
     # from the squares of all elements, by plain breadth-first products
     cases = [composite.build_gens(kind, n) for kind in "AS" for n in range(2, 11)]
@@ -675,7 +675,7 @@ class AllExtensionsGroup(PermGroup):
     element of H, not a generating set of it, in both modes.  With an
     ambient set it then extends by the commutators with it as PermGroup
     does, so a normal closure that let H stop being normal in the ambient
-    group would grow here where PermGroup's does not.  normal_closure builds
+    group would grow here where PermGroup's does not.  _close builds
     type(G), so Frattini and derived subgroups use it all the way down."""
 
     def _extend(self, raw, depth, record, ambient):
@@ -791,14 +791,14 @@ WORK_BOUNDS = {
     ("chain", "A", 32): (511, 91, 20, None),
     ("chain", "A", 128): (3595, 492, 105, None),
     ("chain", "diagonal", 512): (87244, 18166, 4581, None),
-    ("frattini", "A", 32): (565, 67, 21, 1291),
-    ("frattini", "S", 32): (554, 65, 22, 1412),
-    ("frattini", "A", 128): (4423, 438, 113, 19517),
-    ("frattini", "S", 128): (4081, 420, 114, 19964),
-    ("derived", "A", 32): (565, 67, 21, 1286),
-    ("derived", "S", 32): (554, 65, 22, 1407),
-    ("derived", "A", 128): (4423, 438, 113, 19510),
-    ("derived", "S", 128): (4081, 420, 114, 19957),
+    ("frattini", "A", 32): (517, 67, 21, 1291),
+    ("frattini", "S", 32): (505, 65, 22, 1412),
+    ("frattini", "A", 128): (4103, 438, 113, 19517),
+    ("frattini", "S", 128): (3760, 420, 114, 19964),
+    ("derived", "A", 32): (517, 67, 21, 1286),
+    ("derived", "S", 32): (505, 65, 22, 1407),
+    ("derived", "A", 128): (4103, 438, 113, 19510),
+    ("derived", "S", 128): (3760, 420, 114, 19957),
 }
 
 
@@ -833,26 +833,22 @@ def test_construction_work(monkeypatch, construction, kind, n):
     assert len(inversions) <= inversion_bound
 
 
-@pytest.mark.parametrize("closure, squares, built", [
-    (frattini_of_2group, True, 35), (derived_subgroup, False, 35),
-])
-def test_closure_builds_one_permutation_per_seed_and_generator(
-        monkeypatch, closure, squares, built):
-    # each nontrivial seed is multiplied out on image tuples and wrapped
-    # once; the rest are the generators of the closure.  The generators of
-    # A_32's Sylow 2-subgroup are involutions, so their squares are no seeds.
-    G = PermGroup(32, composite.build_gens("A", 32))
-    with recorded(monkeypatch, Permutation, "__post_init__") as made:
-        N = closure(G)
-    gens = [g.images for g in G.generators]
-    identity = tuple(range(32))
-    seeds = [mult_perm(a, a) for a in gens] if squares else []
-    seeds += [
-        mult_perm(a, mult_perm(b, mult_perm(inv_perm(a), inv_perm(b))))
-        for a, b in itertools.combinations(gens, 2)
-    ]
-    nontrivial = sum(seed != identity for seed in seeds)
-    assert len(made) == nontrivial + len(N.generators) == built
+@pytest.mark.parametrize("closure", [frattini_of_2group, derived_subgroup])
+def test_closure_builds_one_permutation_per_generator(monkeypatch, closure):
+    # the seeds are closed as image tuples: none is wrapped in a Permutation
+    # or sifted through G, which they are made from, so the closure's own
+    # generators are the only Permutations it builds.  The generators of
+    # A_32's Sylow 2-subgroup are involutions, so their squares are no seeds
+    # and both closures close the same commutators.
+    for kind, n in (("A", 32), ("S", 32), ("A", 128), ("S", 128)):
+        G = PermGroup(n, composite.build_gens(kind, n))
+        with (recorded(monkeypatch, Permutation, "__post_init__") as made,
+              recorded(monkeypatch, PermGroup, "contains") as sifts):
+            N = closure(G)
+        assert len(made) == len(N.generators), (kind, n)
+        assert not sifts, (kind, n)
+        if (kind, n) == ("A", 32):
+            assert len(made) == 25
 
 
 # -- normal closures against the conjugate queue ------------------------------
@@ -1062,7 +1058,7 @@ def test_non_2group_falls_back_to_closure(texts, degree, order):
 
 
 def test_normal_closures_switch_to_closure_part_way():
-    # normal_closure builds type(G), so S4's normal closures are closures too
+    # _close builds type(G), so S4's normal closures are closures too
     S4 = closure_only(4, perms(S4_GENS, 4))
     for N in (normal_closure(S4, [parse_cycles("(1,2,3)", 4)]), derived_subgroup(S4)):
         assert type(N) is ClosureGroup
@@ -1255,21 +1251,23 @@ CHAIN_INTERNALS = {
 
 def test_elements_enter_a_chain_only_through_adjoin():
     # outside the PermGroup class body no library code touches the chain's
-    # internals, and normal_closure grows its result through _adjoin alone
+    # internals, and _close, which builds every normal closure, grows its
+    # result through _adjoin alone
     for path in sorted(Path(permgroup.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
         scope = {}  # node id -> name of the top-level definition holding it
         if path.name == "permgroup.py":
             for top in tree.body:
-                if getattr(top, "name", None) in ("PermGroup", "normal_closure"):
+                if getattr(top, "name", None) in ("PermGroup", "_close"):
                     scope.update((id(node), top.name) for node in ast.walk(top))
+            assert set(scope.values()) == {"PermGroup", "_close"}
         for node in ast.walk(tree):
             if not isinstance(node, ast.Attribute):
                 continue
             where = (path.name, node.lineno, node.attr)
             if scope.get(id(node)) != "PermGroup":
                 assert node.attr not in CHAIN_INTERNALS, where
-            if scope.get(id(node)) == "normal_closure":
+            if scope.get(id(node)) == "_close":
                 assert not node.attr.startswith("_") or node.attr == "_adjoin", where
 
 

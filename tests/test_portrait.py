@@ -54,6 +54,12 @@ def test_identity_is_all_zero():
     (lambda: labels_above(identity(2), 3), "level 3 outside 0..2"),
     (lambda: labels_above(identity(2), -1), "level -1 outside 0..2"),
     (lambda: labels_above(identity(2), True), "level must be an int, got bool"),
+    (lambda: Vertex(1, 1.0), "position must be an int, got float"),
+    (lambda: Vertex(1, True), "position must be an int, got bool"),
+    (lambda: Vertex(1.5, 1), "level must be an int, got float"),
+    # an explicit id where a message repeats keeps every case's id unique
+    pytest.param(lambda: Vertex(True, 1), "level must be an int, got bool",
+                 id="Vertex-level-bool"),
 ])
 def test_error_texts(call, message):
     with pytest.raises(ValueError) as info:

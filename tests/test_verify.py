@@ -83,7 +83,7 @@ def test_error_texts(call, message):
 def test_run_builds_each_chain_and_subgroup_once(monkeypatch, kind, target,
                                                   degree, derived):
     with (recorded(monkeypatch, permgroup.PermGroup, "__init__") as chains,
-          recorded(monkeypatch, permgroup, "normal_closure") as closures,
+          recorded(monkeypatch, permgroup, "_close") as closures,
           recorded(monkeypatch, permgroup, "frattini_of_2group") as frattinis,
           recorded(monkeypatch, permgroup, "derived_subgroup") as deriveds,
           recorded(monkeypatch, composite, "build_gens") as gens):

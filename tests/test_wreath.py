@@ -332,6 +332,11 @@ def test_diagonal_base_counts_closed_forms():
     (lambda: gen_set_G(1), "G needs depth >= 2"),
     (lambda: in_G_recursive(identity(1)), "G is undefined at depth 1"),
     (lambda: leaf_group([]), "no generators"),
+    # an explicit id where a message repeats keeps every case's id unique
+    pytest.param(lambda: gen_set_B(0), "depth must be >= 1 (the depth-0 tree is empty)",
+                 id="gen_set_B-0"),
+    pytest.param(lambda: gen_set_B(-2), "depth must be >= 1 (the depth-0 tree is empty)",
+                 id="gen_set_B--2"),
 ])
 def test_error_texts(call, message):
     with pytest.raises(ValueError) as info:
