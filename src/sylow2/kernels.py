@@ -7,15 +7,15 @@ timed or wrapped by its name, ``sylow2.kernels.<name>``.
 
 Data conventions:
 
-* A depth-``k`` label table is a ``bytes`` object of length ``2**k - 1``
-  holding 0/1 values in heap order: level ``l`` occupies the slice
-  ``[2**l - 1, 2**(l+1) - 1)``, position ``j`` (0-based) of level ``l``
-  sits at index ``2**l - 1 + j``.  A set bit means the automorphism swaps
-  the two subtrees hanging off that vertex.
+* A depth-``k`` label table ``g`` is a ``bytes`` object of length
+  ``2**k - 1``, so ``k = len(g).bit_length()``, holding 0/1 values in
+  heap order: level ``l`` occupies the slice ``[2**l - 1, 2**(l+1) - 1)``,
+  position ``j`` (0-based) of level ``l`` sits at index ``2**l - 1 + j``.
+  A set bit means the automorphism swaps the two subtrees below a vertex.
 * A permutation of degree ``n`` is a tuple of ints where entry ``i`` is
   the image of point ``i`` (0-based).
 * Products use the left-action convention throughout: ``mult_perm(p, q)``
-  applies ``q`` first, then ``p``, and ``compose_labels(k, g, h)`` is the
+  applies ``q`` first, then ``p``, and ``compose_labels(g, h)`` is the
   label table of the automorphism "h then g".
 
 The three label kernels share one walk, ``_level_images``, the only loop
@@ -64,7 +64,7 @@ def _level_images(k, labels):
     yield img
 
 
-def compose_labels(k, g, h):
+def compose_labels(g, h):
     """Label table of the product g.h (h applied first).
 
     The label of g.h at v is h's label at v XOR g's label at h(v).  Each
@@ -73,14 +73,14 @@ def compose_labels(k, g, h):
     bare item.  One XOR of the joined levels with h, as ints, ends it.
     """
     levels = []
-    for img in _level_images(k - 1, h):  # images under h of levels 0..k-1
+    for img in _level_images(len(h).bit_length() - 1, h):  # images under h, levels 0..k-1
         base = len(img) - 1  # heap index of the level's first vertex
         levels.append(bytes(itemgetter(*img)(g[base:2 * base + 1])) if base else g[:1])
     x = int.from_bytes(b"".join(levels), "little") ^ int.from_bytes(h, "little")
     return x.to_bytes(len(h), "little")
 
 
-def invert_labels(k, g):
+def invert_labels(g):
     """Label table of the inverse automorphism.
 
     The label of g^-1 at v is g's label at g^-1(v), so each level gathers
@@ -89,15 +89,15 @@ def invert_labels(k, g):
     ``compose_labels``, takes a one-byte slice).
     """
     out = bytearray(len(g))
-    for img in _level_images(k - 1, out):
+    for img in _level_images(len(g).bit_length() - 1, out):
         base = len(img) - 1
         out[base:2 * base + 1] = itemgetter(*img)(g[base:2 * base + 1]) if base else g[:1]
     return bytes(out)
 
 
-def leaf_images(k, g):
+def leaf_images(g):
     """Action on the 2**k leaves as a tuple of 0-based images."""
-    for img in _level_images(k, g):
+    for img in _level_images(len(g).bit_length(), g):
         pass
     return tuple(img)
 

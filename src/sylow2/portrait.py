@@ -198,12 +198,12 @@ def compose(g: Portrait, h: Portrait) -> Portrait:
     """
     if g.depth != h.depth:
         raise ValueError(f"depth mismatch: {g.depth} != {h.depth}")
-    return Portrait(g.depth, compose_labels(g.depth, g.bits, h.bits))
+    return Portrait(g.depth, compose_labels(g.bits, h.bits))
 
 
 def inverse(g: Portrait) -> Portrait:
     """Inverse automorphism: label at v is g's label at g^-1(v)."""
-    return Portrait(g.depth, invert_labels(g.depth, g.bits))
+    return Portrait(g.depth, invert_labels(g.bits))
 
 
 def vertex_image(g: Portrait, v: Vertex) -> Vertex:
@@ -221,7 +221,7 @@ def vertex_image(g: Portrait, v: Vertex) -> Vertex:
 
 def leaf_permutation(g: Portrait) -> Permutation:
     """Action on the leaves 1..2**k (0-based internally)."""
-    return Permutation(leaf_images(g.depth, g.bits))
+    return Permutation(leaf_images(g.bits))
 
 
 def level_index(g: Portrait, l: int) -> int:

@@ -36,6 +36,15 @@ from sylow2.portrait import (
 )
 
 
+def _check_depth(k, minimum=1, message="depth must be >= 1 (the depth-0 tree is empty)"):
+    """Refuse a depth that is not an int (bool included), with the text of
+    ``Portrait``, and one below ``minimum`` with ``message``."""
+    if type(k) is not int:
+        raise ValueError(f"depth must be an int, got {type(k).__name__}")
+    if k < minimum:
+        raise ValueError(message)
+
+
 @dataclass(frozen=True)
 class GroupKind:
     """Family tag (B, G or W) plus tree depth."""
@@ -47,12 +56,12 @@ class GroupKind:
         if self.tag not in ("B", "G", "W"):
             raise ValueError(f"unknown group kind {self.tag!r}")
         minimum = 1 if self.tag == "B" else 2
-        if self.depth < minimum:
-            raise ValueError(f"kind {self.tag} needs depth >= {minimum}")
+        _check_depth(self.depth, minimum, f"kind {self.tag} needs depth >= {minimum}")
 
 
 def alpha(k: int, l: int) -> Portrait:
     """Single active label at the leftmost vertex of level l."""
+    _check_depth(k)
     if not 0 <= l <= k - 1:
         raise ValueError(f"level {l} outside 0..{k - 1}")
     return from_vertices(k, [Vertex(l, 1)])
@@ -60,8 +69,7 @@ def alpha(k: int, l: int) -> Portrait:
 
 def tau_at(k: int, positions) -> Portrait:
     """Labels exactly at the given 1-based positions of the last level."""
-    if k < 2:
-        raise ValueError("depth must be >= 2")
+    _check_depth(k, 2, "depth must be >= 2")
     width = 1 << (k - 1)
     vertices = []
     for pos in positions:
@@ -78,15 +86,13 @@ def tau(k: int) -> Portrait:
 
 def gen_set_B(k: int) -> list[Portrait]:
     """One single-label generator per level; generates all of depth-k B."""
-    if k < 1:
-        raise ValueError("depth must be >= 1 (the depth-0 tree is empty)")
+    _check_depth(k)
     return [alpha(k, l) for l in range(k)]
 
 
 def gen_set_G(k: int) -> list[Portrait]:
     """The k-element generating set of G: levels 0..k-2 plus tau."""
-    if k < 2:
-        raise ValueError("G needs depth >= 2")
+    _check_depth(k, 2, "G needs depth >= 2")
     return [alpha(k, l) for l in range(k - 1)] + [tau(k)]
 
 
@@ -240,8 +246,7 @@ def all_portraits(k: int):
     is a depth-(k-1) table, all of them listed once up front, followed by a
     bottom-level string, which changes only once every upper table has
     passed."""
-    if k < 1:
-        raise ValueError("depth must be >= 1 (the depth-0 tree is empty)")
+    _check_depth(k)
     uppers = list(_counting_tables((1 << (k - 1)) - 1))
     for bottom in _counting_tables(1 << (k - 1)):
         for upper in uppers:

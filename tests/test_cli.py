@@ -342,17 +342,15 @@ def test_verify_empty_report_path_exits_2(capsys):
 def test_verify_without_json_builds_no_report(capsys, monkeypatch):
     # the summary is made only for --json; the exit code comes from the
     # claim records alone
-    def no_report(*args):
-        raise AssertionError("report built without --json")
-
-    monkeypatch.setattr(verify, "report_to_json", no_report)
-    code, out, err = run(capsys, "verify", "A", "14")
-    assert (code, err) == (0, "")
-    assert "composite/rank" in out and "FAIL" not in out
-    monkeypatch.setattr(verify.composite, "rank_syl2", lambda kind, n: 0)
-    code, out, err = run(capsys, "verify", "A", "14")
-    assert (code, err) == (1, "")
-    assert "FAIL composite/rank" in out
+    with recorded(monkeypatch, verify, "report_to_json") as reports:
+        code, out, err = run(capsys, "verify", "A", "14")
+        assert (code, err) == (0, "")
+        assert "composite/rank" in out and "FAIL" not in out
+        monkeypatch.setattr(verify.composite, "rank_syl2", lambda kind, n: 0)
+        code, out, err = run(capsys, "verify", "A", "14")
+        assert (code, err) == (1, "")
+        assert "FAIL composite/rank" in out
+    assert reports == []
 
 
 def test_verify_report_reuses_the_runs_generating_set(capsys, monkeypatch, tmp_path):

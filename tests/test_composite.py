@@ -192,7 +192,7 @@ def test_embed_expands_only_moved_subtrees(monkeypatch, kind, n, leaves):
     tuples = composite.build_tuples(kind, n)
     with recorded(monkeypatch, portrait, "leaf_images") as calls:
         [embed(t) for t in tuples]
-    assert sum(1 << k for k, _ in calls) == leaves
+    assert sum(len(g) + 1 for g, in calls) == leaves
 
 
 @pytest.mark.parametrize("kind, expanded", [("S", 66), ("A", 120)])

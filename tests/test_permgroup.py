@@ -342,11 +342,19 @@ def test_permutation_copies_are_equal_and_validated_again(monkeypatch, clone):
     (lambda: PermGroup(0), "degree must be positive"),
     (lambda: group_from_generators([]), "no generators"),
     (lambda: normal_closure(PermGroup(4), [Permutation.identity(3)]), "degree mismatch"),
+    (lambda: parse_cycles("(1,2", 3), "malformed cycle text: '(1,2'"),
 ])
 def test_error_texts(call, message):
     with pytest.raises(ValueError) as info:
         call()
     assert str(info.value) == message
+
+
+def test_identity_text_on_degree_zero():
+    # degree 0 is the empty permutation, not an error
+    for text in ("e", "()", ""):
+        assert parse_cycles(text, 0) == Permutation.identity(0)
+        assert parse_cycles(text, 0).images == ()
 
 
 # -- stabilizer chain ---------------------------------------------------------

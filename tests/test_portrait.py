@@ -60,6 +60,9 @@ def test_identity_is_all_zero():
     # an explicit id where a message repeats keeps every case's id unique
     pytest.param(lambda: Vertex(True, 1), "level must be an int, got bool",
                  id="Vertex-level-bool"),
+    (lambda: section(identity(2), Vertex(2, 1)), "vertex level 2 outside depth-2 portrait"),
+    pytest.param(lambda: level_index(identity(2), 2), "level 2 outside 0..1",
+                 id="level_index-2"),
 ])
 def test_error_texts(call, message):
     with pytest.raises(ValueError) as info:
@@ -408,18 +411,18 @@ def test_label_kernels_match_the_two_pass_reference():
     # the root's level has width 1, where an itemgetter gather would return
     # a bare int; every depth goes through it
     for k, g, h in label_kernel_cases(2):
-        assert compose_labels(k, g, h) == reference_compose_labels(k, g, h), (k, g, h)
+        assert compose_labels(g, h) == reference_compose_labels(k, g, h), (k, g, h)
     for k, g in label_kernel_cases(1):
-        assert invert_labels(k, g) == reference_invert_labels(k, g), (k, g)
-        assert leaf_images(k, g) == reference_leaf_images(k, g), (k, g)
+        assert invert_labels(g) == reference_invert_labels(k, g), (k, g)
+        assert leaf_images(g) == reference_leaf_images(k, g), (k, g)
 
 
 def test_invert_labels_is_an_involution_and_an_inverse():
     for k, g in label_kernel_cases(1):
-        g_inv = invert_labels(k, g)
-        assert type(g_inv) is bytes and invert_labels(k, g_inv) == g, (k, g)
-        assert compose_labels(k, g, g_inv) == bytes(len(g)), (k, g)
-        assert compose_labels(k, g_inv, g) == bytes(len(g)), (k, g)
+        g_inv = invert_labels(g)
+        assert type(g_inv) is bytes and invert_labels(g_inv) == g, (k, g)
+        assert compose_labels(g, g_inv) == bytes(len(g)), (k, g)
+        assert compose_labels(g_inv, g) == bytes(len(g)), (k, g)
 
 
 def test_leaf_homomorphism_exhaustive_k2():

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import recorded
+from conftest import claim, recorded
 from sylow2 import cli, composite, derived, permgroup, verify, wreath
 from sylow2.portrait import (
     Portrait,
@@ -136,17 +136,36 @@ def test_run_verification_b_kind():
     assert by_id["tree/derived-matches-predicate"].computed is True
 
 
-def test_generator_claims_build_no_chain(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("a chain was built")
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_run_verification_a_kind_smallest_n(n):
+    # A_1 and A_2 have empty generating sets; from n = 2 on, legendre's
+    # exponent for A is one below that of S, so A_2's is 0, not 1
+    records = verify.run_verification("A", n, "full")
+    assert records and all(r.passed for r in records)
+    computed = {r.claim: r.computed for r in records}
+    assert computed["composite/legendre-cross-check"] == 0
 
-    monkeypatch.setattr(verify.permgroup, "PermGroup", refuse)
-    for n in (3, 7, 13, 31):  # n = 3 has no generators at all
-        for kind in "AS":
-            params = {"kind": kind, "n": n}
-            assert verify.run_claim("composite/fixed-point", params).computed == n
-            if kind == "A":
-                assert verify.run_claim("composite/all-even", params).computed is True
+
+def test_neighbor_ratios_at_n_4_read_the_order_of_a_4(monkeypatch):
+    # at n = 4 only the even branch compares A_4 with S_3, so an order of
+    # A_4 off by one must fail the claim
+    assert claim("composite/neighbor-ratios", kind="A", n=4) is True
+    real = composite.order_log2_syl2
+    monkeypatch.setattr(composite, "order_log2_syl2",
+                        lambda kind, n: real(kind, n) + ((kind, n) == ("A", 4)))
+    record = verify.run_claim("composite/neighbor-ratios", {"kind": "A", "n": 4})
+    assert (record.passed, record.computed) == (False, False)
+
+
+def test_generator_claims_build_no_chain(monkeypatch):
+    with recorded(monkeypatch, permgroup.PermGroup, "__init__") as chains:
+        for n in (3, 7, 13, 31):  # n = 3 has no generators at all
+            for kind in "AS":
+                params = {"kind": kind, "n": n}
+                assert verify.run_claim("composite/fixed-point", params).computed == n
+                if kind == "A":
+                    assert verify.run_claim("composite/all-even", params).computed is True
+    assert chains == []
 
 
 def test_report_summary_builds_no_chain(monkeypatch):
@@ -156,16 +175,13 @@ def test_report_summary_builds_no_chain(monkeypatch):
         run: verify.report_to_json(*run, 1729, records[run])["summary"]
         for run in runs
     }
-
-    def refuse(*args):
-        raise AssertionError("a chain was built")
-
-    monkeypatch.setattr(verify.permgroup, "PermGroup", refuse)
-    for run in runs:
-        doc = verify.report_to_json(*run, 1729, records[run])
-        assert doc["summary"] == summaries[run]
-        assert doc["summary"]["oracle_order_log2"] == 10
-        assert doc["summary"]["oracle_rank"] == 5
+    with recorded(monkeypatch, permgroup.PermGroup, "__init__") as chains:
+        for run in runs:
+            doc = verify.report_to_json(*run, 1729, records[run])
+            assert doc["summary"] == summaries[run]
+            assert doc["summary"]["oracle_order_log2"] == 10
+            assert doc["summary"]["oracle_rank"] == 5
+    assert chains == []
 
 
 def test_report_document_structure():
@@ -195,6 +211,13 @@ def test_report_text_matches_the_asdict_document(tmp_path, kind, target, level):
     text = (tmp_path / "doc.json").read_text(encoding="utf-8")
     assert text == (tmp_path / "reference.json").read_text(encoding="utf-8")
     assert all(c["params"] is not r.params for c, r in zip(doc["claims"], records))
+
+
+def test_write_report_text_is_pinned(tmp_path):
+    # two-space indent, sorted keys and one final newline, byte for byte
+    verify.write_report(tmp_path / "doc.json", {"b": 0, "a": [1]})
+    text = b'{\n  "a": [\n    1\n  ],\n  "b": 0\n}\n'
+    assert (tmp_path / "doc.json").read_bytes() == text
 
 
 def test_sign_law_claim_is_seed_stable():

@@ -337,6 +337,25 @@ def test_diagonal_base_counts_closed_forms():
                  id="gen_set_B-0"),
     pytest.param(lambda: gen_set_B(-2), "depth must be >= 1 (the depth-0 tree is empty)",
                  id="gen_set_B--2"),
+    # one depth check: a depth that is not an int is refused by every
+    # constructor, with the text of Portrait
+    pytest.param(lambda: alpha(0, 0), "depth must be >= 1 (the depth-0 tree is empty)",
+                 id="alpha-0"),
+    pytest.param(lambda: alpha(2.0, 0), "depth must be an int, got float", id="alpha-float"),
+    pytest.param(lambda: gen_set_B(2.0), "depth must be an int, got float",
+                 id="gen_set_B-float"),
+    pytest.param(lambda: tau_at(True, [1]), "depth must be an int, got bool",
+                 id="tau_at-bool"),
+    pytest.param(lambda: gen_set_G(3.0), "depth must be an int, got float",
+                 id="gen_set_G-float"),
+    pytest.param(lambda: tau_at(2.0, [1]), "depth must be an int, got float",
+                 id="tau_at-float"),
+    pytest.param(lambda: next(all_portraits(2.0)), "depth must be an int, got float",
+                 id="all_portraits-float"),
+    pytest.param(lambda: count_diagonal_bases("B", 2.0), "depth must be an int, got float",
+                 id="GroupKind-float"),
+    pytest.param(lambda: order_formula(GroupKind("B", True)), "depth must be an int, got bool",
+                 id="GroupKind-bool"),
 ])
 def test_error_texts(call, message):
     with pytest.raises(ValueError) as info:
